@@ -5,16 +5,33 @@ else here (growth sequences, the graded growth set, multivariate relative
 counts) is a reindexing of one distance map.  Unreachable vertices are
 simply absent, matching the convention that an infinite distance
 contributes nothing to any series.
+
+The search itself runs on packed integers, one per cover vertex, in a
+mixed-radix layout fixed by the graph and the radius R:
+
+    key = orbit + sum_i (coord_i - base_i + R * S_i) * stride_i
+
+where S_i = max |shift_i| over all edge orbits, stride_0 is the number of
+orbits and stride_{i+1} = stride_i * (2 * R * S_i + 1).  An edge orbit is
+then a precomputed integer delta (dst - src plus its shift dotted with the
+strides), and following an edge is one integer addition.
+
+No-carry invariant: every edge weighs at least 1, so a walk of weight at
+most R has at most R edges and moves coordinate i by at most R * S_i from
+the base.  Each digit therefore stays in [0, 2 * R * S_i], never carries
+into its neighbour, and the encoding is exact.  Keys are decoded to
+`PeriodicVertex` only where results leave this module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from ._dial import dial_distances
 from .errors import CoverageError
-from .periodic_graph import PeriodicVertex, QuotientGraph, out_neighbors
+from .periodic_graph import PeriodicVertex, QuotientGraph, validate
 
 DEFAULT_BALL_CAP = 10_000_000
 
@@ -54,6 +71,51 @@ class RelativeCountTable:
     counts_cumulative: dict[tuple[int, ...], int]
 
 
+def _packed_distances(
+    g: QuotientGraph, x0: PeriodicVertex, radius: int, cap: int
+) -> tuple[dict[int, int], Callable[[int], PeriodicVertex]]:
+    """Dial search over packed keys: (key -> distance, key decoder)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    report = validate(g)
+    if report:
+        raise ValueError("; ".join(report))
+    if not 0 <= x0.orbit < g.num_orbits or len(x0.coord) != g.dim:
+        raise ValueError(f"base {x0} is not a vertex of the cover")
+    n = g.num_orbits
+    offsets, spans, strides = [], [], []
+    stride = n
+    for axis in range(g.dim):
+        reach = radius * max((abs(e.shift[axis]) for e in g.edges), default=0)
+        offsets.append(reach)
+        spans.append(2 * reach + 1)
+        strides.append(stride)
+        stride *= spans[-1]
+    steps = [
+        [
+            (e.dst - e.src + sum(s * t for s, t in zip(e.shift, strides)), e.weight)
+            for e in g.out_edges(orbit)
+        ]
+        for orbit in range(n)
+    ]
+    start = x0.orbit + sum(o * t for o, t in zip(offsets, strides))
+
+    def successors(key: int):
+        return [(key + delta, w) for delta, w in steps[key % n]]
+
+    def decode(key: int) -> PeriodicVertex:
+        coord = tuple(
+            key // t % span - o + b
+            for t, span, o, b in zip(strides, spans, offsets, x0.coord)
+        )
+        return PeriodicVertex(key % n, coord)
+
+    dist = dial_distances(
+        [start], successors, radius, g.max_weight(), cap=cap, cap_what="ball size"
+    )
+    return dist, decode
+
+
 def distances_upto(
     g: QuotientGraph,
     x0: PeriodicVertex,
@@ -62,16 +124,8 @@ def distances_upto(
     cap: int = DEFAULT_BALL_CAP,
 ) -> DistanceMap:
     """Exact distances from x0 to every vertex within the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-    def successors(v: PeriodicVertex):
-        return ((dst, w) for _, dst, w in out_neighbors(g, v))
-
-    dist = dial_distances(
-        [x0], successors, radius, g.max_weight(), cap=cap, cap_what="ball size"
-    )
-    return DistanceMap(x0, radius, dist)
+    dist, decode = _packed_distances(g, x0, radius, cap)
+    return DistanceMap(x0, radius, {decode(k): d for k, d in dist.items()})
 
 
 def growth_sequence(
@@ -82,9 +136,9 @@ def growth_sequence(
     cap: int = DEFAULT_BALL_CAP,
 ) -> GrowthSequence:
     """Number of vertices at each exact distance 0..radius."""
-    dm = distances_upto(g, x0, radius, cap=cap)
+    dist, _ = _packed_distances(g, x0, radius, cap)
     terms = [0] * (radius + 1)
-    for d in dm.entries.values():
+    for d in dist.values():
         terms[d] += 1
     return GrowthSequence(x0, tuple(terms))
 

@@ -127,15 +127,6 @@ def translate(x: PeriodicVertex, u: Vector) -> PeriodicVertex:
     return PeriodicVertex(x.orbit, tuple(a + b for a, b in zip(x.coord, u)))
 
 
-def edge_source(g: QuotientGraph, e: GammaEdge) -> PeriodicVertex:
-    return PeriodicVertex(g.edges[e.edge_orbit].src, e.base)
-
-
-def edge_target(g: QuotientGraph, e: GammaEdge) -> PeriodicVertex:
-    eo = g.edges[e.edge_orbit]
-    return PeriodicVertex(eo.dst, tuple(a + b for a, b in zip(e.base, eo.shift)))
-
-
 def out_neighbors(
     g: QuotientGraph, x: PeriodicVertex
 ) -> list[tuple[GammaEdge, PeriodicVertex, int]]:

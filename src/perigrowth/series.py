@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InputError, NoFitError, PerigrowthError
+from .errors import FormatError, InputError, NoFitError, PerigrowthError
 from .periodic_graph import QuotientGraph
 from .walks import enumerate_cycles, walk_weight
 
@@ -598,7 +598,10 @@ def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("series d="):
         raise InputError("missing series header")
-    arity = int(lines[0].split("=", 1)[1])
+    try:
+        arity = int(lines[0].split("=", 1)[1])
+    except ValueError:
+        raise FormatError(f"bad series header {lines[0]!r}") from None
     num: dict[tuple[int, ...], int] = {}
     factors = []
     verified = None

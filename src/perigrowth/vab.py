@@ -578,6 +578,13 @@ def _int_tokens(tokens, lineno, what):
         raise FormatError(f"{what} must be integers", lineno) from None
 
 
+def _int_arg(tokens, lineno) -> int:
+    """The one integer argument of a `<directive> <n>` line."""
+    if len(tokens) != 2:
+        raise FormatError(f"{tokens[0]} takes exactly one integer argument", lineno)
+    return _int_tokens(tokens[1:], lineno, f"{tokens[0]} argument")[0]
+
+
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -595,9 +602,9 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
     for lineno, tokens in _lines(text):
         key = tokens[0]
         if key == "rank":
-            rank = int(tokens[1])
+            rank = _int_arg(tokens, lineno)
         elif key == "finite":
-            order = int(tokens[1])
+            order = _int_arg(tokens, lineno)
         elif key == "mult":
             if order is None:
                 raise FormatError("finite must come before mult", lineno)
@@ -698,7 +705,7 @@ def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[EquationWord]]:
     words: list[EquationWord] = []
     for lineno, tokens in _lines(text):
         if tokens[0] == "vars":
-            arity = int(tokens[1])
+            arity = _int_arg(tokens, lineno)
             if arity < 1:
                 raise FormatError("vars must be positive", lineno)
         elif tokens[0] == "word":
@@ -748,7 +755,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
     for lineno, tokens in _lines(text):
         key = tokens[0]
         if key == "arity":
-            arity = int(tokens[1])
+            arity = _int_arg(tokens, lineno)
             if arity < 1:
                 raise FormatError("arity must be positive", lineno)
         elif key == "piece":

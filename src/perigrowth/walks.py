@@ -79,12 +79,6 @@ def chain_of_walk(p: QWalk | Cycle) -> EdgeChain:
     return dict(Counter(p.edges))
 
 
-def add_chains(a: EdgeChain, b: EdgeChain) -> EdgeChain:
-    out = Counter(a)
-    out.update(b)
-    return {k: v for k, v in out.items() if v != 0}
-
-
 def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
     rotations = [edges[i:] + edges[:i] for i in range(len(edges))]
     return min(rotations)

@@ -5,6 +5,7 @@ explicitly materialized patches, exhaustive enumeration.  None of it calls
 the code paths under test (group word enumeration uses only `multiply`).
 """
 
+import heapq
 from collections import deque
 from itertools import product
 
@@ -53,6 +54,29 @@ def honeycomb_patch_growth(radius: int) -> list[int]:
     for d in dist.values():
         terms[d] += 1
     return terms
+
+
+def dijkstra_ball(edges, base, radius: int) -> dict:
+    """Shortest walk weights from base over explicit (orbit, coord) tuples.
+
+    `edges` lists (src, dst, shift, weight) quotient edges; the cover is
+    expanded lazily with a binary heap, one tuple per vertex, and every
+    vertex with distance at most `radius` is returned.
+    """
+    dist = {base: 0}
+    heap = [(0, base)]
+    while heap:
+        d, (orbit, coord) = heapq.heappop(heap)
+        if d > dist[(orbit, coord)]:
+            continue
+        for src, dst, shift, weight in edges:
+            if src != orbit or d + weight > radius:
+                continue
+            nb = (dst, tuple(c + s for c, s in zip(coord, shift)))
+            if nb not in dist or d + weight < dist[nb]:
+                dist[nb] = d + weight
+                heapq.heappush(heap, (d + weight, nb))
+    return dist
 
 
 def brute_force_cycles(g, max_length: int) -> set[tuple[int, ...]]:

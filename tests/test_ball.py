@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigrowth.ball import (
     distances_upto,
@@ -9,10 +11,16 @@ from perigrowth.ball import (
     relative_counts,
 )
 from perigrowth.errors import CoverageError, ResourceLimitError
-from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph, translate
+from perigrowth.periodic_graph import (
+    EdgeOrbit,
+    PeriodicVertex,
+    QuotientGraph,
+    parse_periodic_graph,
+    translate,
+)
 
 from conftest import SEED
-from oracles import honeycomb_patch_growth, square_lattice_count
+from oracles import dijkstra_ball, honeycomb_patch_growth, square_lattice_count
 
 
 def test_square_ball_radius_two(square):
@@ -57,6 +65,58 @@ def test_honeycomb_growth_matches_patch_bfs(honeycomb):
     seq = growth_sequence(honeycomb, PeriodicVertex(0, (0, 0)), 50)
     assert list(seq.terms) == honeycomb_patch_growth(50)
     assert seq.terms[:6] == (1, 3, 6, 9, 12, 15)
+
+
+def test_square_growth_large_radius(square):
+    assert [square_lattice_count(k) for k in range(1, 21)] == [4 * k for k in range(1, 21)]
+    seq = growth_sequence(square, PeriodicVertex(0, (0, 0)), 200)
+    assert list(seq.terms) == [1] + [4 * k for k in range(1, 201)]
+
+
+def test_honeycomb_growth_large_radius(honeycomb):
+    seq = growth_sequence(honeycomb, PeriodicVertex(0, (0, 0)), 200)
+    assert list(seq.terms) == honeycomb_patch_growth(200)
+
+
+@st.composite
+def cover_balls(draw):
+    """A random quotient graph, a base vertex away from the origin, a radius."""
+    dim = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 3))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.tuples(*[st.integers(-2, 2)] * dim),
+                st.integers(1, 3),
+            ),
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):  # inverse-closed: every edge has its reverse
+        edges += [(dst, src, tuple(-s for s in shift), w) for src, dst, shift, w in edges]
+    base = (draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-5, 5)] * dim)))
+    return dim, n, edges, base, draw(st.integers(0, 5))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(cover_balls())
+def test_ball_matches_heap_dijkstra(case):
+    dim, n, edges, base, radius = case
+    g = QuotientGraph(
+        dim,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
+    expected = dijkstra_ball(edges, base, radius)
+    x0 = PeriodicVertex(*base)
+    entries = distances_upto(g, x0, radius).entries
+    assert {(v.orbit, v.coord): d for v, d in entries.items()} == expected
+    terms = [0] * (radius + 1)
+    for d in expected.values():
+        terms[d] += 1
+    assert list(growth_sequence(g, x0, radius).terms) == terms
 
 
 def test_edgeless_growth():

@@ -155,6 +155,25 @@ def test_vag_relative_diagonal_over_z(capsys, tmp_path):
     assert "3 3 : 2 7" in lines
 
 
+def test_ball_cap_exits_2_with_empty_stdout(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "--max-ball", "1000", "pg", "growth", data_path("square.pg"), "--upto", "200",
+    )
+    assert code == 2
+    assert "ball size exceeded 1000" in err
+    assert out == ""
+
+
+def test_vag_argumentless_rank_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.vag"
+    bad.write_text("rank\n")
+    code, out, err = run_cli(capsys, "vag", "growth", str(bad), "--upto", "3")
+    assert code == 2
+    assert "rank takes exactly one integer argument" in err
+    assert out == ""
+
+
 CORPUS = [
     ["pg", "validate", data_path("square.pg")],
     ["pg", "growth", data_path("square.pg"), "--base", "v", "--upto", "12"],

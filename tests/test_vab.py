@@ -9,6 +9,7 @@ from perigrowth.series import (
     canonicalize,
     fit_multivariate,
     fit_univariate,
+    series_from_text,
     specialize_to_univariate,
 )
 from perigrowth.vab import (
@@ -390,6 +391,23 @@ def test_parse_vag_errors():
         parse_vag("rank 1\nfinite 2\nmult 0 1 1 0\n")  # missing action f=1
     with pytest.raises(FormatError):
         parse_vag("rank 1\nfinite 2\nmult 0 1\naction f=1 -1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (lambda text, group: parse_vag(text), "rank\n"),
+        (lambda text, group: parse_vag(text), "rank 1\nfinite\n"),
+        (parse_eqn, "vars\n"),
+        (parse_set, "arity\n"),
+        (lambda text, group: series_from_text(text), "series d=\nverified 3\n"),
+    ],
+    ids=["rank", "finite", "vars", "arity", "series-header"],
+)
+def test_argumentless_directive_is_format_error(dinf, parse, text):
+    group, _ = dinf
+    with pytest.raises(FormatError):
+        parse(text, group)
 
 
 def test_parse_set_errors(dinf):
