@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ball, decomposition, series, vab
 from .errors import InputError, MathError, NoFitError, PerigrowthError
@@ -138,58 +137,39 @@ def cmd_pg_series(args) -> int:
     return EXIT_OK
 
 
-def _decompose_block(g, base, S, radius, exhaustive) -> tuple[list[str], bool]:
-    names = ",".join(g.orbits[i] for i in sorted(S))
-    monoid = decomposition.build_MS(g, S)
-    gens = decomposition.build_XS_generators(
-        g, base, S, exhaustive=exhaustive, budget=radius
-    )
-    action = decomposition.verify_module_action(g, base, S, radius, monoid=monoid)
-    lines = [f"S {{{names}}}"]
-    lines.append(
-        "monoid "
-        + " ".join(
-            f"({deg} | {' '.join(str(c) for c in vec)})"
-            for deg, vec in monoid.generators
-        )
-    )
-    lines.append(
-        "module "
-        + " ".join(
-            f"({deg} | {g.orbits[v.orbit]} {' '.join(str(c) for c in v.coord)})"
-            for deg, v in gens.generators
-        )
-    )
-    lines.append("action " + ("PASS" if action.ok else f"FAIL {action.witness}"))
-    return lines, action.ok
-
-
 def cmd_pg_decompose(args) -> int:
     g = _load_pg(args.file)
     base = _parse_base(g, args.base)
-    subsets = decomposition.all_support_sets(g)
-
-    def block(S):
-        return _decompose_block(g, base, S, args.upto, args.exhaustive)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            blocks = list(pool.map(block, subsets))
-    else:
-        blocks = [block(S) for S in subsets]
     cover = decomposition.verify_cover(
         g,
         base,
         args.upto,
         exhaustive=args.exhaustive,
         orbit_guard=args.orbit_guard,
-        threads=args.threads,
+        cap=args.max_ball,
+        cycle_cap=args.max_cycles,
     )
     lines = [FORMAT_HEADER]
     ok = cover.ok
-    for block_lines, block_ok in blocks:
-        lines.extend(block_lines)
-        ok = ok and block_ok
+    for S, monoid, gens, action in cover.blocks:
+        names = ",".join(g.orbits[i] for i in sorted(S))
+        lines.append(f"S {{{names}}}")
+        lines.append(
+            "monoid "
+            + " ".join(
+                f"({deg} | {' '.join(str(c) for c in vec)})"
+                for deg, vec in monoid.generators
+            )
+        )
+        lines.append(
+            "module "
+            + " ".join(
+                f"({deg} | {g.orbits[v.orbit]} {' '.join(str(c) for c in v.coord)})"
+                for deg, v in gens.generators
+            )
+        )
+        lines.append("action " + ("PASS" if action.ok else f"FAIL {action.witness}"))
+        ok = ok and action.ok
     if cover.ok:
         lines.append(f"cover PASS ({cover.covered} pairs at radius {cover.radius})")
     else:
@@ -240,16 +220,18 @@ def cmd_vag_relative(args) -> int:
     group, gens = _load_vag(args.file)
     mmset = vab.parse_set(_read(args.set), group)
     box = _parse_box(args.upto, mmset.arity)
-    tuples = vab.enumerate_monoid_module_set(group, gens, mmset, box)
-    table = vab.relative_growth_terms(group, gens, tuples, box)
-    factors = vab.default_set_denominator(group, gens, mmset)
+    tuples = vab.enumerate_monoid_module_set(group, gens, mmset, box, cap=args.max_ball)
+    table = vab.relative_growth_terms(group, gens, tuples, box, cap=args.max_ball)
+    factors = vab.default_set_denominator(
+        group, gens, mmset, cap=args.max_ball, cycle_cap=args.max_cycles
+    )
     margins = tuple(args.margin for _ in box)
     fit = series.fit_multivariate_auto(
         table.counts_exact, box, factors, margins=margins
     )
     specialized = series.specialize_to_univariate(fit)
     window = min(box)
-    uni_terms = vab.univariate_terms(group, gens, tuples, window)
+    uni_terms = vab.univariate_terms(group, gens, tuples, window, cap=args.max_ball)
     direct = series.canonicalize(
         series.fit_univariate_auto(
             uni_terms,
@@ -279,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perigrowth",
         description="growth sequences and certified rational growth series",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     parser.add_argument("--output", help="write output to this path instead of stdout")
     parser.add_argument(
         "--max-ball", type=int, default=ball.DEFAULT_BALL_CAP, help="ball size cap"

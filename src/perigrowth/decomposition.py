@@ -14,12 +14,11 @@ intersections and multigraded Hilbert counts.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ._dial import dial_distances
+from ._dial import dial_distances, reachable
 from .ball import graded_growth_slice
-from .errors import GuardError, ResourceLimitError
+from .errors import GuardError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
 
@@ -78,6 +77,7 @@ class CoverReport:
     missing: tuple
     extra: tuple
     module_sizes: dict[SupportSet, int]
+    blocks: tuple  # (S, monoid, module gens, action), in all_support_sets order
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,25 @@ def all_support_sets(g: QuotientGraph) -> list[SupportSet]:
     return subsets
 
 
+def _cycle_data(g: QuotientGraph, cycle_cap: int) -> list:
+    """(support, weight, displacement) of every simple cycle."""
+    return [
+        (support(g, c), walk_weight(g, c), mu(g, chain_of_walk(c)))
+        for c in enumerate_cycles(g, cap=cycle_cap)
+    ]
+
+
+def _monoid(rank: int, S: SupportSet, cycle_data) -> GradedMonoid:
+    gens = {(1, (0,) * rank)}
+    gens.update((w, vec) for sup, w, vec in cycle_data if sup <= S)
+    return GradedMonoid(rank, tuple(sorted(gens)))
+
+
 def build_MS(
     g: QuotientGraph, S: SupportSet, *, cycle_cap: int = 1_000_000
 ) -> GradedMonoid:
     """Monoid generated by cycles supported inside S, plus the degree step."""
-    gens = {(1, (0,) * g.dim)}
-    for cycle in enumerate_cycles(g, cap=cycle_cap):
-        if support(g, cycle) <= S:
-            gens.add((walk_weight(g, cycle), mu(g, chain_of_walk(cycle))))
-    return GradedMonoid(g.dim, tuple(sorted(gens)))
+    return _monoid(g.dim, S, _cycle_data(g, cycle_cap))
 
 
 def support_distances(
@@ -145,6 +155,19 @@ def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
     return g.max_weight() * len(S) ** 2
 
 
+def _module_gens(
+    sdist, S: SupportSet, bound: int, exhaustive: bool
+) -> GradedModuleGens:
+    gens = []
+    for (v, sup), d in sdist.items():
+        if sup == S and d <= bound:
+            if exhaustive:
+                gens.extend((i, v) for i in range(d, bound + 1))
+            else:
+                gens.append((d, v))
+    return GradedModuleGens(S, bound, tuple(sorted(gens)))
+
+
 def build_XS_generators(
     g: QuotientGraph,
     x0: PeriodicVertex,
@@ -164,15 +187,7 @@ def build_XS_generators(
     if budget is not None:
         bound = min(bound, budget)
     sdist = support_distances(g, x0, bound, cap=cap)
-    gens = []
-    for (v, sup), d in sdist.items():
-        if sup != S:
-            continue
-        if exhaustive:
-            gens.extend((i, v) for i in range(d, bound + 1))
-        else:
-            gens.append((d, v))
-    return GradedModuleGens(S, bound, tuple(sorted(gens)))
+    return _module_gens(sdist, S, bound, exhaustive)
 
 
 def _check_degree_zero(generators, zero_payload) -> None:
@@ -190,23 +205,16 @@ def monoid_elements_upto(
     """All monoid elements of degree <= degree, by worklist saturation."""
     zero = monoid.zero()
     _check_degree_zero(monoid.generators, zero[1])
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for d, vec in frontier:
-            for gd, gvec in monoid.generators:
-                nd = d + gd
-                if nd > degree:
-                    continue
-                el = (nd, tuple(a + b for a, b in zip(vec, gvec)))
-                if el not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError("monoid saturation cap exceeded")
-                    seen.add(el)
-                    nxt.append(el)
-        frontier = nxt
-    return seen
+
+    def successors(el):
+        d, vec = el
+        return [
+            (d + gd, tuple(a + b for a, b in zip(vec, gvec)))
+            for gd, gvec in monoid.generators
+            if d + gd <= degree
+        ]
+
+    return reachable([zero], successors, cap=cap, cap_what="monoid saturation")
 
 
 def module_elements_upto(
@@ -218,23 +226,34 @@ def module_elements_upto(
 ) -> set[tuple[int, PeriodicVertex]]:
     """All elements generator + monoid of degree <= degree."""
     _check_degree_zero(monoid.generators, monoid.zero()[1])
-    seen = {(d, y) for d, y in module_gens if d <= degree}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for d, y in frontier:
-            for gd, gvec in monoid.generators:
-                nd = d + gd
-                if nd > degree:
-                    continue
-                el = (nd, translate(y, gvec))
-                if el not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError("module saturation cap exceeded")
-                    seen.add(el)
-                    nxt.append(el)
-        frontier = nxt
-    return seen
+
+    def successors(el):
+        d, y = el
+        return [
+            (d + gd, translate(y, gvec))
+            for gd, gvec in monoid.generators
+            if d + gd <= degree
+        ]
+
+    starts = [(d, y) for d, y in module_gens if d <= degree]
+    return reachable(starts, successors, cap=cap, cap_what="module saturation")
+
+
+def _action(sdist, S: SupportSet, monoid: GradedMonoid, radius: int) -> ActionReport:
+    min_weight = sorted((v, d) for (v, sup), d in sdist.items() if sup == S)
+    reached = dict(min_weight)
+    for gd, gvec in sorted(monoid.generators):
+        for y, d in min_weight:
+            # (d, y) is the lowest-degree module element at y; acting on it
+            # gives the strongest membership requirement
+            nd = d + gd
+            if nd > radius:
+                continue
+            image = translate(y, gvec)
+            di = reached.get(image)
+            if di is None or di > nd:
+                return ActionReport(False, S, ((gd, gvec), (d, y), (nd, image)))
+    return ActionReport(True, S, None)
 
 
 def verify_cover(
@@ -244,17 +263,20 @@ def verify_cover(
     *,
     exhaustive: bool = False,
     orbit_guard: int = DEFAULT_ORBIT_GUARD,
-    threads: int = 1,
     cap: int = DEFAULT_SATURATION_CAP,
     cycle_cap: int = 1_000_000,
     max_witnesses: int = 10,
 ) -> CoverReport:
     """Check that the union of truncated modules equals the graded growth set.
 
-    For every orbit subset S the module generators are truncated at the
-    degree bound and saturated under the monoid action up to the radius;
-    the union over all S must coincide with the set of pairs (i, y) with
-    d(x0, y) <= i <= radius.
+    Cycles are enumerated once and the support-graded search runs once, at
+    the radius.  For every orbit subset S the module generators are
+    truncated at the degree bound and saturated under the monoid action up
+    to the radius; the union over all S must coincide with the set of pairs
+    (i, y) with d(x0, y) <= i <= radius.  The report also carries, per S,
+    the monoid, the module generators (as `build_MS` and
+    `build_XS_generators` with `budget=radius` give them) and the
+    `verify_module_action` report.
     """
     if g.num_orbits > orbit_guard:
         raise GuardError(
@@ -262,38 +284,18 @@ def verify_cover(
         )
     target = graded_growth_slice(g, x0, radius, cap=cap)
     sdist = support_distances(g, x0, radius, cap=cap)
-    cycles = enumerate_cycles(g, cap=cycle_cap)
-    cycle_data = [
-        (support(g, c), walk_weight(g, c), mu(g, chain_of_walk(c))) for c in cycles
-    ]
-    subsets = all_support_sets(g)
-
-    def truncated_module(S: SupportSet) -> set[tuple[int, PeriodicVertex]]:
-        bound = min(module_degree_bound(g, S), radius)
-        gens = []
-        for (v, sup), d in sdist.items():
-            if sup == S and d <= bound:
-                if exhaustive:
-                    gens.extend((i, v) for i in range(d, bound + 1))
-                else:
-                    gens.append((d, v))
-        mgens = {(1, (0,) * g.dim)}
-        mgens.update(
-            (w, vec) for sup, w, vec in cycle_data if sup <= S
-        )
-        monoid = GradedMonoid(g.dim, tuple(sorted(mgens)))
-        return module_elements_upto(monoid, gens, radius, cap=cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(truncated_module, subsets))
-    else:
-        pieces = [truncated_module(S) for S in subsets]
+    cycle_data = _cycle_data(g, cycle_cap)
     union: set[tuple[int, PeriodicVertex]] = set()
     sizes: dict[SupportSet, int] = {}
-    for S, piece in zip(subsets, pieces):
+    blocks = []
+    for S in all_support_sets(g):
+        monoid = _monoid(g.dim, S, cycle_data)
+        bound = min(module_degree_bound(g, S), radius)
+        gens = _module_gens(sdist, S, bound, exhaustive)
+        piece = module_elements_upto(monoid, gens.generators, radius, cap=cap)
         sizes[S] = len(piece)
         union |= piece
+        blocks.append((S, monoid, gens, _action(sdist, S, monoid, radius)))
     missing = tuple(sorted(target - union))[:max_witnesses]
     extra = tuple(sorted(union - target))[:max_witnesses]
     return CoverReport(
@@ -303,6 +305,7 @@ def verify_cover(
         missing=missing,
         extra=extra,
         module_sizes=sizes,
+        blocks=tuple(blocks),
     )
 
 
@@ -322,24 +325,7 @@ def verify_module_action(
     """
     if monoid is None:
         monoid = build_MS(g, S)
-    sdist = support_distances(g, x0, radius, cap=cap)
-    min_weight = {v: d for (v, sup), d in sdist.items() if sup == S}
-    for gd, gvec in sorted(monoid.generators):
-        for y, d in sorted(min_weight.items()):
-            # (d, y) is the lowest-degree module element at y; acting on it
-            # gives the strongest membership requirement
-            nd = d + gd
-            if nd > radius:
-                continue
-            image = translate(y, gvec)
-            di = min_weight.get(image)
-            if di is None or di > nd:
-                return ActionReport(False, S, ((gd, gvec), (d, y), (nd, image)))
-    return ActionReport(True, S, None)
-
-
-def _sum_degree(deg) -> int:
-    return sum(deg) if isinstance(deg, tuple) else deg
+    return _action(support_distances(g, x0, radius, cap=cap), S, monoid, radius)
 
 
 def _minimal_monoid_generators(elements, zero):
@@ -470,26 +456,20 @@ def hilbert_counts(
             raise ValueError(
                 "degree-0 generator with nonzero action makes graded pieces infinite"
             )
-    seen = {
+
+    def successors(el):
+        degvec, carrier = el
+        for gdeg, action in monoid_gens:
+            ndeg = tuple(a + b for a, b in zip(degvec, gdeg))
+            if all(a <= b for a, b in zip(ndeg, box)):
+                yield ndeg, act(carrier, action)
+
+    starts = [
         (tuple(degvec), carrier)
         for degvec, carrier in module_gens
         if all(a <= b for a, b in zip(degvec, box))
-    }
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for degvec, carrier in frontier:
-            for gdeg, action in monoid_gens:
-                ndeg = tuple(a + b for a, b in zip(degvec, gdeg))
-                if any(a > b for a, b in zip(ndeg, box)):
-                    continue
-                el = (ndeg, act(carrier, action))
-                if el not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError("module saturation cap exceeded")
-                    seen.add(el)
-                    nxt.append(el)
-        frontier = nxt
+    ]
+    seen = reachable(starts, successors, cap=cap, cap_what="module saturation")
     values: dict[tuple[int, ...], int] = {}
     for degvec, _ in seen:
         values[degvec] = values.get(degvec, 0) + 1

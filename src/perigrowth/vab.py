@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from ._dial import reachable
 from .ball import (
     DEFAULT_BALL_CAP,
     DistanceMap,
@@ -29,7 +30,7 @@ from .errors import (
     InputError,
     ResourceLimitError,
 )
-from .periodic_graph import EdgeOrbit, PeriodicVertex, QuotientGraph, Vector
+from .periodic_graph import EdgeOrbit, PeriodicVertex, QuotientGraph, Vector, _tokenize
 from .walks import enumerate_cycles, walk_weight
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -217,10 +218,6 @@ def element_vertex(el: GroupElement) -> PeriodicVertex:
     return PeriodicVertex(el.part, el.vec)
 
 
-def vertex_element(v: PeriodicVertex) -> GroupElement:
-    return GroupElement(v.coord, v.orbit)
-
-
 def build_cayley(
     group: VAGroup, gens: list[WeightedGenerator]
 ) -> tuple[QuotientGraph, PeriodicVertex]:
@@ -393,21 +390,16 @@ def enumerate_monoid_module_set(
                 raise ResourceLimitError(
                     f"monoid orbit region exceeds {cap} lattice cells"
                 )
-        origin = (0,) * q
-        visited = {origin}
-        frontier = [origin]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gen in flat_gens:
-                    np_ = tuple(x + y for x, y in zip(p, gen))
-                    if np_ in visited:
-                        continue
-                    if any(not l <= x <= h for x, l, h in zip(np_, lo, hi)):
-                        continue
-                    visited.add(np_)
-                    nxt.append(np_)
-            frontier = nxt
+
+        def successors(p):
+            for gen in flat_gens:
+                np_ = tuple(x + y for x, y in zip(p, gen))
+                if all(l <= x <= h for x, l, h in zip(np_, lo, hi)):
+                    yield np_
+
+        visited = reachable(
+            [(0,) * q], successors, cap=cap, cap_what="monoid orbit region"
+        )
         members = set()
         for p in visited:
             chunks = [p[i * n : (i + 1) * n] for i in range(d)]
@@ -434,17 +426,12 @@ def enumerate_monoid_module_set(
 
 def quotient_reachable_orbits(graph: QuotientGraph, start: int) -> set[int]:
     """Orbits reachable from the start orbit in the quotient graph."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for orbit in frontier:
-            for eo in graph.out_edges(orbit):
-                if eo.dst not in seen:
-                    seen.add(eo.dst)
-                    nxt.append(eo.dst)
-        frontier = nxt
-    return seen
+    return reachable(
+        [start],
+        lambda orbit: (eo.dst for eo in graph.out_edges(orbit)),
+        cap=graph.num_orbits,
+        cap_what="quotient orbits",
+    )
 
 
 def relative_growth_terms(
@@ -585,13 +572,6 @@ def _int_arg(tokens, lineno) -> int:
     return _int_tokens(tokens[1:], lineno, f"{tokens[0]} argument")[0]
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
     """Parse the `.vag` format: rank, finite order, tables, generators."""
     rank = order = None
@@ -599,7 +579,7 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
     action: dict[int, Matrix] = {}
     cocycle: dict[tuple[int, int], Vector] = {}
     gens: list[WeightedGenerator] = []
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _tokenize(text):
         key = tokens[0]
         if key == "rank":
             rank = _int_arg(tokens, lineno)
@@ -703,7 +683,7 @@ def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[EquationWord]]:
     """Parse the `.eqn` format: vars count plus one word per line."""
     arity = None
     words: list[EquationWord] = []
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _tokenize(text):
         if tokens[0] == "vars":
             arity = _int_arg(tokens, lineno)
             if arity < 1:
@@ -752,7 +732,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
         current_gens = None
         current_shift = None
 
-    for lineno, tokens in _lines(text):
+    for lineno, tokens in _tokenize(text):
         key = tokens[0]
         if key == "arity":
             arity = _int_arg(tokens, lineno)

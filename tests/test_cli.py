@@ -1,6 +1,16 @@
+import json
+from pathlib import Path
+
+import pytest
+
+from perigrowth import decomposition
 from perigrowth.cli import main
 
 from conftest import data_path
+
+# expected stdout bytes (<name>.out) and exit codes (exit_codes.json); only an
+# intended change of the output format may rewrite them
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +175,48 @@ def test_ball_cap_exits_2_with_empty_stdout(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-cycles", "1", "pg", "decompose", data_path("honeycomb.pg"),
+          "--upto", "5"], "more than 1 cycles"),
+        (["--max-ball", "10", "pg", "decompose", data_path("honeycomb.pg"),
+          "--upto", "8"], "ball size exceeded 10"),
+        (["--max-cycles", "1", "vag", "relative", data_path("dinf.vag"),
+          data_path("invol.set"), "--upto", "10", "--margin", "5"],
+         "more than 1 cycles"),
+        (["--max-ball", "5", "vag", "relative", data_path("dinf.vag"),
+          data_path("invol.set"), "--upto", "10", "--margin", "5"],
+         "ball size exceeded 5"),
+    ],
+)
+def test_caps_reach_decompose_and_relative(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
+    calls = []
+    for name in ("enumerate_cycles", "support_distances"):
+        fn = getattr(decomposition, name)
+        monkeypatch.setattr(decomposition, name, counting(calls, name, fn))
+    code, _, _ = run_cli(
+        capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
+    )
+    assert code == 0
+    assert sorted(calls) == ["enumerate_cycles", "support_distances"]
+
+
 def test_vag_argumentless_rank_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.vag"
     bad.write_text("rank\n")
@@ -212,3 +264,54 @@ def test_cli_corpus_deterministic_across_threads(tmp_path):
     pooled = corpus_outputs(tmp_path / "c", threads=8)
     assert single == again
     assert single == pooled
+
+
+# three orbits in the plane whose subsets see different cycles: the loops at
+# a and c, the two-orbit returns a-b-a and a-c-a, and the triangle a-b-c-a
+PLANE3 = """\
+dim 2
+vertex a
+vertex b
+vertex c
+edge a b 0 0 1
+edge b a 0 0 1
+edge b c 1 0 1
+edge c b -1 0 1
+edge a a 1 0 1
+edge a a -1 0 1
+edge c c 0 1 2
+edge c c 0 -1 2
+edge c a 0 1 1
+edge a c 0 -1 1
+"""
+
+
+def golden_name(argv) -> str:
+    stem = Path(argv[2]).stem
+    return "_".join([argv[0], argv[1], stem])
+
+
+GOLDEN_CASES = [
+    pytest.param(argv, f"{index:02d}_{golden_name(argv)}", id=f"{index:02d}")
+    for index, argv in enumerate(CORPUS)
+]
+
+
+def check_golden(capsys, argv, name):
+    """stdout and exit code of main(argv) against the committed golden run."""
+    code, out, _ = run_cli(capsys, *argv)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == codes[name]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_CASES)
+def test_cli_corpus_matches_golden(capsys, argv, name):
+    check_golden(capsys, argv, name)
+
+
+def test_cli_decompose_three_orbits_matches_golden(capsys, tmp_path):
+    path = tmp_path / "plane3.pg"
+    path.write_text(PLANE3)
+    argv = ["pg", "decompose", str(path), "--upto", "8"]
+    check_golden(capsys, argv, "plane3_decompose")

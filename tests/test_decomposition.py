@@ -99,13 +99,6 @@ def test_verify_cover_honeycomb(honeycomb):
     assert verify_cover(honeycomb, honeycomb.vertex(0), 12).ok
 
 
-def test_verify_cover_threads_match(honeycomb):
-    base = honeycomb.vertex(0)
-    assert verify_cover(honeycomb, base, 9) == verify_cover(
-        honeycomb, base, 9, threads=4
-    )
-
-
 def test_verify_cover_orbit_guard():
     names = [f"v{i}" for i in range(13)]
     text = "dim 1\n" + "\n".join(f"vertex {n}" for n in names)
