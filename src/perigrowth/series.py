@@ -1,17 +1,20 @@
 """Certified rational closed forms from exact term data.
 
 Everything here is integer or rational arithmetic; a fit is never a
-numerical approximation.  Fitting multiplies the term data by a candidate
-denominator (a product of (1 - t^w)-style factors) and succeeds only when
-the product truncates to a low-degree polynomial with a comfortable margin
-of surplus vanishing coefficients.  The returned object is a certificate
-relative to its verified range, nothing more.
+numerical approximation.  A denominator is always kept as its multiset of
+(1 - t^w) factors and never multiplied out: fitting multiplies the term
+data by one factor at a time and expansion divides by one factor at a time,
+each a strided pass over the terms.  A fit succeeds only when the product
+vanishes for at least `margin` coefficients above the numerator degree.
+The returned object is a certificate relative to its verified range,
+nothing more.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -23,7 +26,8 @@ DEFAULT_MARGIN = 10
 DEFAULT_MARGIN_PER_AXIS = 5
 
 # ---------------------------------------------------------------------------
-# dense integer polynomial helpers (index = degree, trailing zeros trimmed)
+# dense integer polynomials (index = degree, trailing zeros trimmed) and
+# truncated power series, changed in place one (1 - t^w) factor at a time
 
 
 def poly_trim(p: list[int]) -> list[int]:
@@ -33,99 +37,72 @@ def poly_trim(p: list[int]) -> list[int]:
     return p[:n]
 
 
-def poly_mul(a, b) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
+def _times(x: list[int], w: int) -> None:
+    """x *= 1 - t^w, truncated to len(x): x[i] -= x[i - w] from the top down."""
+    x[w:] = map(operator.sub, x[w:], x[:-w])
 
 
-def poly_mul_trunc(a, b, through: int) -> list[int]:
-    out = [0] * (through + 1)
-    for i, ca in enumerate(a):
-        if ca and i <= through:
-            top = min(len(b) - 1, through - i)
-            for j in range(top + 1):
-                out[i + j] += ca * b[j]
-    return out
+def _over(x: list[int], w: int) -> None:
+    """x /= 1 - t^w, truncated to len(x): x[i] += x[i - w] from the bottom up."""
+    for r in range(min(w, len(x))):
+        x[r::w] = itertools.accumulate(x[r::w])
 
 
-def cyclotomic_factor(w: int) -> list[int]:
-    """The polynomial 1 - t^w."""
-    p = [0] * (w + 1)
-    p[0] = 1
-    p[w] = -1
-    return p
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def expand_factors(factors) -> list[int]:
-    """Expand a multiset of (period, exponent) factors to a dense polynomial."""
-    out = [1]
-    for w, e in factors:
-        for _ in range(e):
-            out = poly_mul(out, cyclotomic_factor(w))
-    return out
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
-def poly_div_exact(num: list[int], den: list[int]) -> list[int] | None:
-    """Exact division over Q; None unless den divides num with integer result."""
-    num = [Fraction(c) for c in poly_trim(list(num))]
-    den = [Fraction(c) for c in poly_trim(list(den))]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return []
-    if len(num) < len(den):
+def _psi(d: int) -> tuple[list[int], list[int]]:
+    """psi_d = prod over e | d of (1 - t^e)^mu(d/e): (e with mu = 1, e with mu = -1).
+
+    psi_1 = 1 - t and psi_d is the cyclotomic polynomial Phi_d for d >= 2, so
+    1 - t^w is the product of psi_d over d | w: the psi_d are the irreducible
+    factors of every denominator here, each with constant term 1.
+    """
+    divisors = _divisors(d)
+    up = [e for e in divisors if _mobius(d // e) == 1]
+    down = [e for e in divisors if _mobius(d // e) == -1]
+    return up, down
+
+
+def _divide(p: list[int], up, down) -> list[int] | None:
+    """p / f for a nonzero polynomial p, or None unless f divides p, where
+    f = prod over `up` of (1 - t^e) / prod over `down` of (1 - t^e).
+
+    The power series p / f, truncated at deg p, is the polynomial quotient
+    exactly when its top deg(f) coefficients vanish.
+    """
+    keep = len(p) - sum(up) + sum(down)
+    if keep < 1:
         return None
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    rem = num[:]
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + len(den) - 1] / lead
-        quot[i] = c
-        if c:
-            for j, dc in enumerate(den):
-                rem[i + j] -= c * dc
-    if any(rem):
-        return None
-    if any(c.denominator != 1 for c in quot):
-        return None
-    return [int(c) for c in quot]
+    q = list(p)
+    for e in up:
+        _over(q, e)
+    for e in down:
+        _times(q, e)
+    return None if any(q[keep:]) else q[:keep]
 
 
-def _content(p: list[int]) -> int:
-    return math.gcd(*[abs(c) for c in p]) if p else 0
-
-
-def poly_gcd_primitive(a: list[int], b: list[int]) -> list[int]:
-    """Primitive integer gcd of two integer polynomials."""
-    fa = [Fraction(c) for c in poly_trim(list(a))]
-    fb = [Fraction(c) for c in poly_trim(list(b))]
-    while fb:
-        # remainder of fa by fb
-        rem = fa[:]
-        lead = fb[-1]
-        for i in range(len(rem) - len(fb), -1, -1):
-            c = rem[i + len(fb) - 1] / lead
-            if c:
-                for j, dc in enumerate(fb):
-                    rem[i + j] -= c * dc
-        while rem and rem[-1] == 0:
-            rem.pop()
-        fa, fb = fb, rem
-    if not fa:
-        return []
-    denom = math.lcm(*[c.denominator for c in fa])
-    ints = [int(c * denom) for c in fa]
-    cont = _content(ints)
-    ints = [c // cont for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+def _multiply(p: list[int], up, down) -> list[int]:
+    """p * f, f as in `_divide`; exact because the product fits in deg p + deg f."""
+    q = p + [0] * (sum(up) - sum(down))
+    for e in up:
+        _times(q, e)
+    for e in down:
+        _over(q, e)
+    return q
 
 
 def merge_factors(factors) -> tuple[tuple[int, int], ...]:
@@ -147,43 +124,28 @@ class RationalSeries:
     """Integer numerator over a product of (1 - t^w)^e factors.
 
     The expansion matches the source terms through `verified_through`; that
-    is the whole claim.  When canonical reduction cannot re-express the
-    reduced denominator as such a product, the expanded polynomial is kept
-    in `expanded_denominator` instead of `factors`.
+    is the whole claim.
     """
 
     numerator: tuple[int, ...]
     factors: tuple[tuple[int, int], ...]
     verified_through: int
     canonical: bool = False
-    expanded_denominator: tuple[int, ...] | None = None
-
-    def denominator_polynomial(self) -> list[int]:
-        if self.expanded_denominator is not None:
-            return list(self.expanded_denominator)
-        return expand_factors(self.factors)
 
     def numerator_degree(self) -> int:
         return len(poly_trim(list(self.numerator))) - 1
 
     def denominator_degree(self) -> int:
-        if self.expanded_denominator is not None:
-            return len(poly_trim(list(self.expanded_denominator))) - 1
         return sum(w * e for w, e in self.factors)
 
 
 def expand_series(rs: RationalSeries, through: int) -> list[int]:
-    """Coefficients 0..through by the exact linear recurrence."""
-    den = rs.denominator_polynomial()
-    if not den or den[0] != 1:
-        raise ValueError("denominator must have constant term 1")
-    num = list(rs.numerator)
-    out = []
-    for i in range(through + 1):
-        c = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            c -= den[j] * out[i - j]
-        out.append(c)
+    """Coefficients 0..through: the numerator divided by each factor in turn."""
+    out = list(rs.numerator[: through + 1])
+    out += [0] * (through + 1 - len(out))
+    for w, e in rs.factors:
+        for _ in range(e):
+            _over(out, w)
     return out
 
 
@@ -212,15 +174,21 @@ def fit_univariate(
 ) -> RationalSeries:
     """Fit numerator / prod(1 - t^w)^e against exact terms.
 
-    Multiplies the terms by the expanded denominator; the fit succeeds only
-    if the product vanishes above the numerator degree, leaving at least
-    `margin` surplus checks beyond numerator degree + denominator degree.
+    The numerator is the product of the terms and the denominator, truncated
+    at the last term, so it reproduces every term by construction.  What
+    certifies the fit is that the ansatz is fixed before the terms are read:
+    it succeeds only when the product vanishes at `margin` or more indices
+    above the numerator degree, that is, when at least `margin` terms lie
+    beyond it.  The degree is the detected one, or `numerator_degree` when
+    given.
     """
-    terms = list(terms)
-    through = len(terms) - 1
+    numerator = list(terms)
+    through = len(numerator) - 1
     factors = merge_factors(factors)
-    den = expand_factors(factors)
-    numerator = poly_trim(poly_mul_trunc(den, terms, through))
+    for w, e in factors:
+        for _ in range(e):
+            _times(numerator, w)
+    numerator = poly_trim(numerator)
     detected = len(numerator) - 1
     if numerator_degree is not None:
         if through < numerator_degree + margin:
@@ -242,43 +210,49 @@ def fit_univariate(
 
 
 def canonicalize(rs: RationalSeries) -> RationalSeries:
-    """Reduce by the exact polynomial gcd and refactor the denominator.
+    """Reduce to lowest terms and lift the denominator to a (1 - t^w) product.
 
-    Greedy largest-period peeling recovers a (1 - t^w) product whenever one
-    exists; otherwise the reduced denominator is kept expanded.
+    Factors (1 - t^w) that divide the numerator cancel whole first, one pass
+    each.  What is left of the denominator is prod psi_d^m_d over the
+    divisors d of its periods, so cancelling each psi_d from the numerator by
+    exact division, while both still hold it, divides by the exact gcd.  The
+    reduced denominator prod psi_d^r_d is then lifted greedily: take the
+    largest d with r_d > 0, add the factor (1 - t^d), and remove one psi_e
+    for every e | d, multiplying the numerator by psi_e where none is left.
+    When the reduced denominator is a (1 - t^w) product this returns exactly
+    the factors of largest-period peeling; otherwise the numerator may share
+    a factor with the lifted denominator.
     """
     num = poly_trim(list(rs.numerator))
-    den = rs.denominator_polynomial()
     if not num:
-        return replace(rs, numerator=(), factors=(), canonical=True,
-                       expanded_denominator=None)
-    g = poly_gcd_primitive(num, den)
-    if len(g) > 1:
-        num = poly_div_exact(num, g)
-        den = poly_div_exact(den, g)
-        assert num is not None and den is not None
-    if den[0] == -1:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    if den[0] != 1:
-        raise PerigrowthError("reduced denominator has non-unit constant term")
-    factors = []
-    residual = den
-    for w in range(len(residual) - 1, 0, -1):
-        while True:
-            quot = poly_div_exact(residual, cyclotomic_factor(w))
+        return replace(rs, numerator=(), factors=(), canonical=True)
+    left: dict[int, int] = {}  # d -> how many psi_d the denominator still holds
+    for w, e in rs.factors:
+        for _ in range(e):
+            quot = _divide(num, [w], [])
+            if quot is not None:
+                num = quot
+                continue
+            for d in _divisors(w):
+                left[d] = left.get(d, 0) + 1
+    for d in left:
+        while left[d]:
+            quot = _divide(num, *_psi(d))
             if quot is None:
                 break
-            factors.append((w, 1))
-            residual = quot
-            if len(residual) - 1 < w:
-                break
+            num = quot
+            left[d] -= 1
+    factors = []
+    while any(left.values()):
+        d = max(k for k, m in left.items() if m)
+        factors.append((d, 1))
+        for e in _divisors(d):
+            if left[e]:
+                left[e] -= 1
+            else:
+                num = _multiply(num, *_psi(e))
     reduced = replace(
-        rs,
-        numerator=tuple(num),
-        canonical=True,
-        factors=merge_factors(factors) if residual == [1] else (),
-        expanded_denominator=None if residual == [1] else tuple(den),
+        rs, numerator=tuple(num), factors=merge_factors(factors), canonical=True
     )
     # reduction must not change the expansion
     if expand_series(reduced, rs.verified_through) != expand_series(
@@ -320,8 +294,6 @@ class QuasiPolynomial:
 
 def quasi_polynomial(rs: RationalSeries) -> QuasiPolynomial:
     """Per-residue polynomials by exact interpolation, verified term by term."""
-    if rs.expanded_denominator is not None:
-        raise ValueError("denominator is not a product of (1 - t^w) factors")
     period = math.lcm(*[w for w, _ in rs.factors]) if rs.factors else 1
     count = sum(e for _, e in rs.factors)
     threshold = max(0, rs.numerator_degree() - rs.denominator_degree() + 1)
@@ -427,35 +399,36 @@ def _box_points(box):
     return itertools.product(*(range(b + 1) for b in box))
 
 
-def expand_mv_denominator(factors, box) -> dict[tuple[int, ...], int]:
-    out = {tuple(0 for _ in box): 1}
-    for w, e in factors:
-        for _ in range(e):
-            nxt: dict[tuple[int, ...], int] = {}
-            for a, c in out.items():
-                nxt[a] = nxt.get(a, 0) + c
-                shifted = tuple(x + y for x, y in zip(a, w))
-                if all(x <= b for x, b in zip(shifted, box)):
-                    nxt[shifted] = nxt.get(shifted, 0) - c
-            out = {a: c for a, c in nxt.items() if c}
-    return out
+def _box_pass(x: list[int], box, w, divide: bool) -> None:
+    """x *= 1 - z^w, or x /= 1 - z^w when `divide`, truncated to the box.
+
+    x holds the box points in lexicographic order.  Multiplying visits them
+    in reverse, so x[a - w] is still the old value when x[a] reads it;
+    dividing visits them in order, so it is already the new one.
+    """
+    strides = [1] * len(box)
+    for i in range(len(box) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (box[i] + 1)
+    shift = sum(wi * stride for wi, stride in zip(w, strides))
+    index = [0]
+    for wi, b, stride in zip(w, box, strides):
+        index = [i + a * stride for i in index for a in range(wi, b + 1)]
+    if divide:
+        for i in index:
+            x[i] += x[i - shift]
+    else:
+        for i in reversed(index):
+            x[i] -= x[i - shift]
 
 
 def expand_mv_series(ms: MultivariateRationalSeries, box) -> dict[tuple[int, ...], int]:
-    """Expansion coefficients over the box, by multidimensional recurrence."""
-    den = expand_mv_denominator(ms.factors, box)
-    zero = tuple(0 for _ in box)
-    assert den.get(zero) == 1
-    den_rest = [(a, c) for a, c in den.items() if a != zero]
-    out: dict[tuple[int, ...], int] = {}
-    for a in _box_points(box):
-        c = ms.numerator.get(a, 0)
-        for b, cb in den_rest:
-            prev = tuple(x - y for x, y in zip(a, b))
-            if all(x >= 0 for x in prev):
-                c -= cb * out[prev]
-        out[a] = c
-    return out
+    """Expansion coefficients over the box: the numerator divided by each factor."""
+    points = list(_box_points(box))
+    coeffs = [ms.numerator.get(a, 0) for a in points]
+    for w, e in ms.factors:
+        for _ in range(e):
+            _box_pass(coeffs, box, w, divide=True)
+    return dict(zip(points, coeffs))
 
 
 def fit_multivariate(
@@ -478,16 +451,12 @@ def fit_multivariate(
     factors = merge_mv_factors(factors)
     if margins is None:
         margins = tuple(DEFAULT_MARGIN_PER_AXIS for _ in box)
-    den = expand_mv_denominator(factors, box)
-    num: dict[tuple[int, ...], int] = {}
-    for a in _box_points(box):
-        c = 0
-        for b, cb in den.items():
-            rest = tuple(x - y for x, y in zip(a, b))
-            if all(x >= 0 for x in rest):
-                c += cb * table.get(rest, 0)
-        if c:
-            num[a] = c
+    points = list(_box_points(box))
+    coeffs = [table.get(a, 0) for a in points]
+    for w, e in factors:
+        for _ in range(e):
+            _box_pass(coeffs, box, w, divide=False)
+    num = {a: c for a, c in zip(points, coeffs) if c}
     support = [0] * arity
     for a in num:
         for i, x in enumerate(a):
@@ -577,8 +546,6 @@ def series_to_text(obj: RationalSeries | MultivariateRationalSeries) -> str:
         for a, c in enumerate(obj.numerator):
             if c:
                 lines.append(f"num {a} {c}")
-        if obj.expanded_denominator is not None:
-            raise ValueError("expanded denominators have no factored text form")
         for w, e in obj.factors:
             lines.append(f"den {w} ^{e}")
         lines.append(f"verified {obj.verified_through}")
@@ -594,6 +561,13 @@ def series_to_text(obj: RationalSeries | MultivariateRationalSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(ln: str, tokens) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise FormatError(f"bad integer in series line {ln!r}") from None
+
+
 def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("series d="):
@@ -601,7 +575,9 @@ def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
     try:
         arity = int(lines[0].split("=", 1)[1])
     except ValueError:
-        raise FormatError(f"bad series header {lines[0]!r}") from None
+        arity = 0  # reported below, with the other headers that name no arity
+    if arity < 1:
+        raise FormatError(f"bad series header {lines[0]!r}")
     num: dict[tuple[int, ...], int] = {}
     factors = []
     verified = None
@@ -609,18 +585,24 @@ def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
         tokens = ln.split()
         if tokens[0] == "num":
             if len(tokens) != arity + 2:
-                raise InputError(f"bad num line {ln!r}")
-            num[tuple(int(t) for t in tokens[1 : 1 + arity])] = int(tokens[-1])
+                raise FormatError(f"bad num line {ln!r}")
+            *degrees, c = _ints(ln, tokens[1:])
+            if min(degrees) < 0:
+                raise FormatError(f"negative degree in num line {ln!r}")
+            num[tuple(degrees)] = c
         elif tokens[0] == "den":
             if len(tokens) != arity + 2 or not tokens[-1].startswith("^"):
-                raise InputError(f"bad den line {ln!r}")
-            factors.append(
-                (tuple(int(t) for t in tokens[1 : 1 + arity]), int(tokens[-1][1:]))
-            )
+                raise FormatError(f"bad den line {ln!r}")
+            *w, e = _ints(ln, tokens[1:-1] + [tokens[-1][1:]])
+            if min(w) < 0 or not any(w) or e < 1:
+                raise FormatError(f"bad denominator factor in {ln!r}")
+            factors.append((tuple(w), e))
         elif tokens[0] == "verified":
-            verified = tuple(int(t) for t in tokens[1:])
+            verified = _ints(ln, tokens[1:])
+            if any(v < 0 for v in verified):
+                raise FormatError(f"negative verified bound in {ln!r}")
         else:
-            raise InputError(f"unknown series line {ln!r}")
+            raise FormatError(f"unknown series line {ln!r}")
     if verified is None or len(verified) != arity:
         raise InputError("missing or malformed verified line")
     if arity == 1:

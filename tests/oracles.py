@@ -6,7 +6,9 @@ the code paths under test (group word enumeration uses only `multiply`).
 """
 
 import heapq
+import math
 from collections import deque
+from fractions import Fraction
 from itertools import product
 
 from perigrowth.vab import multiply
@@ -153,3 +155,165 @@ def monoid_elements_by_exponents(gens, degree: int) -> set:
 
     rec(0, 0, [0] * rank)
     return elements
+
+
+# ---------------------------------------------------------------------------
+# dense rational series: every (1 - t^w) product multiplied out, reduced by a
+# Fraction-Euclid gcd and refactored by greedy largest-period peeling
+
+
+def poly_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def expand_factors(factors):
+    """prod (1 - t^w)^e as a dense integer polynomial."""
+    out = [1]
+    for w, e in factors:
+        for _ in range(e):
+            out = poly_mul(out, [1] + [0] * (w - 1) + [-1])
+    return out
+
+
+def dense_fit_numerator(terms, factors):
+    """(denominator * terms) truncated at the last term, trailing zeros trimmed."""
+    den = expand_factors(factors)
+    through = len(terms) - 1
+    out = [0] * (through + 1)
+    for i, c in enumerate(den[: through + 1]):
+        for j in range(through + 1 - i):
+            out[i + j] += c * terms[j]
+    return poly_trim(out)
+
+
+def dense_expand(numerator, den, through):
+    """Coefficients 0..through of numerator / den (den[0] == 1), by recurrence."""
+    out = []
+    for i in range(through + 1):
+        c = numerator[i] if i < len(numerator) else 0
+        for j in range(1, min(i, len(den) - 1) + 1):
+            c -= den[j] * out[i - j]
+        out.append(c)
+    return out
+
+
+def poly_div_exact(num, den):
+    """num / den when den divides num over Z, else None."""
+    num = [Fraction(c) for c in poly_trim(num)]
+    den = [Fraction(c) for c in poly_trim(den)]
+    if not num:
+        return []
+    if len(num) < len(den):
+        return None
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        quot[i] = c
+        for j, dc in enumerate(den):
+            num[i + j] -= c * dc
+    if any(num) or any(c.denominator != 1 for c in quot):
+        return None
+    return [int(c) for c in quot]
+
+
+def poly_gcd_primitive(a, b):
+    """Primitive integer gcd with positive leading coefficient, by Euclid over Q."""
+    fa = [Fraction(c) for c in poly_trim(a)]
+    fb = [Fraction(c) for c in poly_trim(b)]
+    while fb:
+        rem = fa[:]
+        for i in range(len(rem) - len(fb), -1, -1):
+            c = rem[i + len(fb) - 1] / fb[-1]
+            for j, dc in enumerate(fb):
+                rem[i + j] -= c * dc
+        fa, fb = fb, poly_trim(rem)
+    denom = math.lcm(*[c.denominator for c in fa])
+    ints = [int(c * denom) for c in fa]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    return [-c for c in ints] if ints[-1] < 0 else ints
+
+
+def reference_reduction(numerator, factors):
+    """(reduced numerator, reduced denominator, peeled factors or None).
+
+    The reduced denominator has constant term 1; the factors are the greedy
+    largest-period (1 - t^w) peeling of it, or None when peeling leaves a
+    residual other than 1.
+    """
+    num = poly_trim(numerator)
+    den = expand_factors(factors)
+    if not num:
+        return [], [1], ()
+    g = poly_gcd_primitive(num, den)
+    num, den = poly_div_exact(num, g), poly_div_exact(den, g)
+    if den[0] == -1:
+        num, den = [-c for c in num], [-c for c in den]
+    peeled = {}
+    residual = den
+    for w in range(len(den) - 1, 0, -1):
+        while len(residual) - 1 >= w:
+            quot = poly_div_exact(residual, [1] + [0] * (w - 1) + [-1])
+            if quot is None:
+                break
+            peeled[w] = peeled.get(w, 0) + 1
+            residual = quot
+    return num, den, tuple(sorted(peeled.items())) if residual == [1] else None
+
+
+def expand_mv_denominator(factors, box):
+    """prod (1 - z^w)^e as a sparse dict, truncated to the box."""
+    out = {tuple(0 for _ in box): 1}
+    for w, e in factors:
+        for _ in range(e):
+            nxt = {}
+            for a, c in out.items():
+                nxt[a] = nxt.get(a, 0) + c
+                shifted = tuple(x + y for x, y in zip(a, w))
+                if all(x <= b for x, b in zip(shifted, box)):
+                    nxt[shifted] = nxt.get(shifted, 0) - c
+            out = {a: c for a, c in nxt.items() if c}
+    return out
+
+
+def dense_mv_fit_numerator(table, box, factors):
+    """Nonzero coefficients of (denominator * table) truncated to the box."""
+    den = expand_mv_denominator(factors, box)
+    num = {}
+    for a in product(*(range(b + 1) for b in box)):
+        c = 0
+        for b, cb in den.items():
+            rest = tuple(x - y for x, y in zip(a, b))
+            if all(x >= 0 for x in rest):
+                c += cb * table.get(rest, 0)
+        if c:
+            num[a] = c
+    return num
+
+
+def dense_mv_expand(numerator, factors, box):
+    """Coefficients of numerator / prod (1 - z^w)^e over the box, by recurrence."""
+    den = expand_mv_denominator(factors, box)
+    rest = [(b, cb) for b, cb in den.items() if any(b)]
+    out = {}
+    for a in product(*(range(b + 1) for b in box)):
+        c = numerator.get(a, 0)
+        for b, cb in rest:
+            prev = tuple(x - y for x, y in zip(a, b))
+            if all(x >= 0 for x in prev):
+                c -= cb * out[prev]
+        out[a] = c
+    return out

@@ -52,6 +52,27 @@ def test_pg_series_one_way(capsys):
     ]
 
 
+def test_pg_series_canonical_lifts_non_product_denominator(capsys, tmp_path):
+    # the series is (1 - t^10) / ((1 - t^3)(1 - t^7)); its reduced denominator
+    # (1 + t + t^2)(1 - t^7) is no (1 - t^w) product, so the printed form
+    # lifts it back to (1 - t^3)(1 - t^7)
+    pg = tmp_path / "lift.pg"
+    pg.write_text("dim 1\nvertex v\nedge v v 1 3\nedge v v -1 7\n")
+    code, out, err = run_cli(
+        capsys, "pg", "series", str(pg), "--upto", "60", "--canonical"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "perigrowth-format 1",
+        "series d=1",
+        "num 0 1",
+        "num 10 -1",
+        "den 3 ^1",
+        "den 7 ^1",
+        "verified 60",
+    ]
+
+
 def test_pg_series_no_fit_exit_code(capsys, tmp_path):
     # growth of the square lattice cannot be matched by a bare (1-t)
     bad = tmp_path / "bad.pg"

@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigrowth.ball import distances_upto, growth_sequence, relative_counts
-from perigrowth.errors import InputError, NoFitError
+from perigrowth.errors import FormatError, InputError, NoFitError
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.series import (
     MultivariateRationalSeries,
@@ -18,6 +20,8 @@ from perigrowth.series import (
     fit_multivariate,
     fit_univariate,
     fit_univariate_auto,
+    merge_factors,
+    merge_mv_factors,
     qp_evaluate,
     quasi_polynomial,
     s_from_b,
@@ -26,7 +30,17 @@ from perigrowth.series import (
     specialize_to_univariate,
 )
 
-from oracles import honeycomb_patch_growth
+from oracles import (
+    dense_expand,
+    dense_fit_numerator,
+    dense_mv_expand,
+    dense_mv_fit_numerator,
+    expand_factors,
+    honeycomb_patch_growth,
+    poly_div_exact,
+    poly_mul,
+    reference_reduction,
+)
 
 
 def test_default_denominator_square(square):
@@ -81,6 +95,22 @@ def test_fit_insufficient_terms():
         fit_univariate([1, 1, 1], [(1, 1)], numerator_degree=2, margin=10)
 
 
+@pytest.mark.parametrize("margin", [0, 1, 4, 10])
+def test_fit_margin_boundary(margin):
+    # (1 + t)^2 / (1 - t)^2 has numerator degree 2: terms through 2 + margin
+    # leave exactly `margin` vanishing coefficients above it
+    terms = [1] + [4 * i for i in range(1, margin + 3)]
+    fit = fit_univariate(terms, [(1, 2)], margin=margin)
+    assert fit.numerator == (1, 2, 1)
+    assert fit.verified_through == margin + 2
+    assert fit_univariate(terms, [(1, 2)], numerator_degree=2, margin=margin) == fit
+    if margin:
+        with pytest.raises(NoFitError):
+            fit_univariate(terms[:-1], [(1, 2)], margin=margin)
+        with pytest.raises(InputError):
+            fit_univariate(terms[:-1], [(1, 2)], numerator_degree=2, margin=margin)
+
+
 def test_evaluate_examples():
     square_series = RationalSeries((1, 2, 1), ((1, 2),), 50)
     assert evaluate_series(square_series, 7) == 28
@@ -107,6 +137,62 @@ def test_fit_round_trip_property(num, periods):
     assert expand_series(fit, through) == terms
     reduced = canonicalize(fit)
     assert expand_series(reduced, through) == terms
+
+
+FACTORS = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)), max_size=4)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    terms=st.lists(st.integers(-20, 20), min_size=1, max_size=50),
+    factors=FACTORS,
+    numerator=st.lists(st.integers(-4, 4), max_size=8),
+)
+def test_fit_and_expansion_match_dense_reference(terms, factors, numerator):
+    factors = merge_factors(factors)
+    fit = fit_univariate(terms, factors, margin=0)
+    assert list(fit.numerator) == dense_fit_numerator(terms, factors)
+    through = len(terms) - 1
+    rs = RationalSeries(tuple(numerator), factors, through)
+    assert expand_series(rs, through) == dense_expand(
+        numerator, expand_factors(factors), through
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    base=st.lists(st.integers(-4, 4), max_size=6),
+    shared=st.lists(st.integers(1, 8), max_size=3),
+    factors=FACTORS,
+    through=st.integers(0, 40),
+)
+def test_canonicalize_matches_reference_reduction(base, shared, factors, through):
+    # numerators that share (1 - t^v) factors, whole or in part, with the
+    # denominator exercise both the complete peeling and the lift
+    numerator = poly_mul(base, expand_factors([(v, 1) for v in shared]))
+    factors = merge_factors(factors)
+    rs = RationalSeries(tuple(numerator), factors, through)
+    red_num, red_den, peeled = reference_reduction(numerator, factors)
+    got = canonicalize(rs)
+    if peeled is not None:
+        assert got.numerator == tuple(red_num)
+        assert got.factors == peeled
+        return
+    lifted = expand_factors(got.factors)
+    assert poly_div_exact(lifted, red_den) is not None
+    assert poly_mul(list(got.numerator), red_den) == poly_mul(red_num, lifted)
+    assert expand_series(got, through) == expand_series(rs, through)
+
+
+def test_canonicalize_lifts_non_product_denominator():
+    # (1 - t^10) / ((1 - t^3)(1 - t^7)) reduces to 1 / ((1 + t + t^2)(1 - t^7));
+    # lifting (1 + t + t^2) to (1 - t^3) brings back the (1 - t) it cancelled
+    rs = RationalSeries((1,) + (0,) * 9 + (-1,), ((3, 1), (7, 1)), 30)
+    got = canonicalize(rs)
+    assert got.numerator == rs.numerator
+    assert got.factors == ((3, 1), (7, 1))
+    _, _, peeled = reference_reduction(list(rs.numerator), rs.factors)
+    assert peeled is None
 
 
 def test_quasi_polynomial_square():
@@ -195,6 +281,30 @@ def test_fit_multivariate_product_structure(z_pm):
             assert expansion[(a1, a2)] == terms[a1] * terms[a2]
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fit_multivariate_matches_dense_denominator(data):
+    arity = data.draw(st.integers(1, 3))
+    box = tuple(
+        data.draw(st.lists(st.integers(0, 5), min_size=arity, max_size=arity))
+    )
+    vector = st.tuples(*[st.integers(0, 2)] * arity).filter(any)
+    factors = merge_mv_factors(
+        data.draw(
+            st.lists(st.tuples(vector, st.integers(1, 2)), min_size=1, max_size=3)
+        )
+    )
+    points = list(product(*(range(b + 1) for b in box)))
+    values = data.draw(
+        st.lists(st.integers(-5, 5), min_size=len(points), max_size=len(points))
+    )
+    # a missing key counts as zero, as for the empty sets the CLI passes
+    table = {a: c for a, c in zip(points, values) if c}
+    fit = fit_multivariate(table, box, factors, margins=(0,) * arity)
+    assert fit.numerator == dense_mv_fit_numerator(table, box, factors)
+    assert expand_mv_series(fit, box) == dense_mv_expand(fit.numerator, factors, box)
+
+
 def test_s_from_b_d1():
     b = MultivariateRationalSeries(1, {(0,): 1}, (((1,), 2),), (10,))
     s = s_from_b(b)
@@ -256,3 +366,53 @@ def test_escalation_ladder_squares_factors():
     terms = expand_series(source, 30)
     fit = fit_univariate_auto(terms, ((1, 1),))
     assert fit.factors == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "arity, bad",
+    [
+        (1, "num 0 x"),
+        (1, "den 2 ^x"),
+        (1, "verified x"),
+        (1, "den 0 ^1"),
+        (1, "den 2 ^0"),
+        (2, "den 0 0 ^1"),
+        (1, "num -1 5"),
+        (1, "verified -1"),
+    ],
+)
+def test_series_from_text_format_errors(arity, bad):
+    text = f"series d={arity}\nverified {' '.join(['3'] * arity)}\n{bad}\n"
+    with pytest.raises(FormatError, match=re.escape(repr(bad))):
+        series_from_text(text)
+
+
+SERIES_TOKEN = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(
+        ["x", "^", "^1", "^0", "^-1", "^x", "num", "den", "verified", "d=1"]
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    header=st.sampled_from(["series d=1", "series d=2", "series d=0", "series d=-1",
+                            "series d=", "series d=x", "series"]),
+    body=st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["num", "den", "verified"]),
+                st.lists(SERIES_TOKEN, max_size=4),
+            ).map(lambda t: " ".join([t[0], *t[1]])),
+            st.lists(SERIES_TOKEN, max_size=5).map(" ".join),
+            st.text(max_size=12),
+        ),
+        max_size=6,
+    ),
+)
+def test_series_from_text_raises_only_input_errors(header, body):
+    try:
+        series_from_text("\n".join([header, *body]))
+    except InputError:
+        pass
