@@ -50,6 +50,11 @@ class DistanceMap:
     def distance(self, v: PeriodicVertex) -> int | None:
         return self.entries.get(v)
 
+    def check_radius(self, radius: int) -> None:
+        """Raise ValueError unless this ball reaches the given radius."""
+        if self.radius < radius:
+            raise ValueError(f"needs a ball of radius {radius}, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class GrowthSequence:
@@ -160,29 +165,23 @@ def graded_growth_slice(
 
 
 def relative_counts(
-    g: QuotientGraph,
-    x0: PeriodicVertex,
+    dm: DistanceMap,
     tuples: list[tuple[PeriodicVertex, ...]],
     box: tuple[int, ...],
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-    distance_map: DistanceMap | None = None,
 ) -> RelativeCountTable:
-    """Count tuples by per-coordinate distance over the whole box.
+    """Count tuples by per-coordinate distance in the ball `dm` over the box.
 
-    The supplied enumeration must be exactly the within-ball truncation of
-    the counted set: any coordinate outside the radius-max(box) ball is a
-    producer bug and raises rather than silently truncating.
+    The ball's radius must reach max(box).  The supplied enumeration must
+    be exactly the within-ball truncation of the counted set: any
+    coordinate outside the ball is a producer bug and raises rather than
+    silently truncating.
     """
     if not box:
         raise ValueError("box must have at least one coordinate")
     arity = len(box)
     if any(b < 0 for b in box):
         raise ValueError("box bounds must be nonnegative")
-    radius = max(box)
-    dm = distance_map
-    if dm is None or dm.radius < radius:
-        dm = distances_upto(g, x0, radius, cap=cap)
+    dm.check_radius(max(box))
     exact: dict[tuple[int, ...], int] = {}
     for tup in tuples:
         if len(tup) != arity:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 Vector = tuple[int, ...]
 
@@ -77,7 +77,7 @@ class QuotientGraph:
         try:
             return self.orbits.index(name)
         except ValueError:
-            raise KeyError(f"unknown orbit name {name!r}") from None
+            raise InputError(f"unknown orbit name {name!r}") from None
 
     def out_edges(self, orbit: int) -> tuple[EdgeOrbit, ...]:
         return self._out[orbit]

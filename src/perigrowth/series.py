@@ -182,6 +182,8 @@ def fit_univariate(
     beyond it.  The degree is the detected one, or `numerator_degree` when
     given.
     """
+    if margin < 0:
+        raise InputError("margin must be nonnegative")
     numerator = list(terms)
     through = len(numerator) - 1
     factors = merge_factors(factors)
@@ -273,7 +275,7 @@ def fit_univariate_auto(
         try:
             fit = fit_univariate(terms, candidate, margin=margin)
             return canonicalize(fit) if canonical else fit
-        except (NoFitError, InputError) as exc:
+        except NoFitError as exc:
             failures.append(f"ansatz {candidate}: {exc}")
     raise NoFitError("; ".join(failures))
 
@@ -451,6 +453,8 @@ def fit_multivariate(
     factors = merge_mv_factors(factors)
     if margins is None:
         margins = tuple(DEFAULT_MARGIN_PER_AXIS for _ in box)
+    if min(margins, default=0) < 0:
+        raise InputError("margin must be nonnegative")
     points = list(_box_points(box))
     coeffs = [table.get(a, 0) for a in points]
     for w, e in factors:
@@ -589,6 +593,8 @@ def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
             *degrees, c = _ints(ln, tokens[1:])
             if min(degrees) < 0:
                 raise FormatError(f"negative degree in num line {ln!r}")
+            if tuple(degrees) in num:
+                raise FormatError(f"repeated num degree in {ln!r}")
             num[tuple(degrees)] = c
         elif tokens[0] == "den":
             if len(tokens) != arity + 2 or not tokens[-1].startswith("^"):
@@ -598,6 +604,8 @@ def series_from_text(text: str) -> RationalSeries | MultivariateRationalSeries:
                 raise FormatError(f"bad denominator factor in {ln!r}")
             factors.append((tuple(w), e))
         elif tokens[0] == "verified":
+            if verified is not None:
+                raise FormatError(f"second verified line {ln!r}")
             verified = _ints(ln, tokens[1:])
             if any(v < 0 for v in verified):
                 raise FormatError(f"negative verified bound in {ln!r}")

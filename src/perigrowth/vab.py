@@ -15,13 +15,7 @@ import re
 from dataclasses import dataclass
 
 from ._dial import reachable
-from .ball import (
-    DEFAULT_BALL_CAP,
-    DistanceMap,
-    RelativeCountTable,
-    distances_upto,
-    relative_counts,
-)
+from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, relative_counts
 from .errors import (
     CoverageError,
     DisjointnessError,
@@ -286,6 +280,8 @@ def solve_box(
     Brute force by definition: this is the oracle-grade truncation of the
     solution set, not a fast path.
     """
+    if radius < 0:
+        raise InputError("box radius must be nonnegative")
     per_coordinate = (2 * radius + 1) ** group.rank * group.order
     total = per_coordinate**arity
     if total > cap:
@@ -327,16 +323,15 @@ class MonoidModuleSet:
 
 
 def enumerate_monoid_module_set(
-    group: VAGroup,
-    gens: list[WeightedGenerator],
+    dm: DistanceMap,
     mmset: MonoidModuleSet,
     box: tuple[int, ...],
     *,
     cap: int = DEFAULT_BALL_CAP,
-    distance_map: DistanceMap | None = None,
 ) -> list[tuple[GroupElement, ...]]:
     """All elements whose every coordinate has word weight within the box.
 
+    `dm` is the Cayley ball from the identity, of radius at least max(box).
     Each piece's monoid orbit is explored inside a lattice region wide
     enough (a Steinitz inflation of the ball's bounding box) to make the
     restricted walk enumeration provably exhaustive.  Declared disjointness
@@ -344,12 +339,8 @@ def enumerate_monoid_module_set(
     """
     if len(box) != mmset.arity:
         raise InputError("box arity does not match set arity")
-    graph, base = build_cayley(group, gens)
-    radius = max(box)
-    dm = distance_map
-    if dm is None or dm.radius < radius:
-        dm = distances_upto(graph, base, radius, cap=cap)
-    n, d = group.rank, mmset.arity
+    dm.check_radius(max(box))
+    n, d = len(dm.base.coord), mmset.arity
     q = n * d
     # per-orbit lattice points of the ball, with their distances
     by_orbit: dict[int, list[tuple[Vector, int]]] = {}
@@ -435,26 +426,23 @@ def quotient_reachable_orbits(graph: QuotientGraph, start: int) -> set[int]:
 
 
 def relative_growth_terms(
-    group: VAGroup,
-    gens: list[WeightedGenerator],
+    graph: QuotientGraph,
+    dm: DistanceMap,
     tuples: list[tuple[GroupElement, ...]],
     box: tuple[int, ...],
-    *,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> RelativeCountTable:
     """Count tuples by per-coordinate word weight over the box.
 
-    Coordinates that are certifiably not representable (their coset is
-    unreachable in the quotient) are dropped, matching the convention that
-    an infinite weight contributes nothing.  A coordinate whose coset is
-    reachable but which lies outside the computed ball is rejected: it may
-    have finite weight beyond the box, and only the producer can rule that
-    in or out.
+    `dm` is the ball of the Cayley graph `graph` from the identity, of
+    radius at least max(box).  Coordinates that are certifiably not
+    representable (their coset is unreachable in the quotient) are dropped,
+    matching the convention that an infinite weight contributes nothing.  A
+    coordinate whose coset is reachable but which lies outside the ball is
+    rejected: it may have finite weight beyond the box, and only the
+    producer can rule that in or out.
     """
-    graph, base = build_cayley(group, gens)
-    radius = max(box) if box else 0
-    dm = distances_upto(graph, base, radius, cap=cap)
-    reachable = quotient_reachable_orbits(graph, base.orbit)
+    dm.check_radius(max(box, default=0))
+    reachable = quotient_reachable_orbits(graph, dm.base.orbit)
     kept = []
     for tup in tuples:
         drop = False
@@ -466,31 +454,28 @@ def relative_growth_terms(
                 drop = True
                 break
             raise CoverageError(
-                f"coordinate {el} is outside the radius-{radius} ball but its "
+                f"coordinate {el} is outside the radius-{dm.radius} ball but its "
                 "coset is reachable; enlarge the box or pre-truncate the set"
             )
         if not drop:
             kept.append(tuple(element_vertex(el) for el in tup))
-    return relative_counts(graph, base, kept, box, cap=cap, distance_map=dm)
+    return relative_counts(dm, kept, box)
 
 
 def univariate_terms(
-    group: VAGroup,
-    gens: list[WeightedGenerator],
+    dm: DistanceMap,
     tuples: list[tuple[GroupElement, ...]],
     through: int,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> list[int]:
     """Counts of tuples by total word weight, complete through `through`.
 
     Any tuple of total weight <= through has every coordinate weight
-    <= through and therefore sits inside the radius-`through` ball, so a
-    tuple with an out-of-ball coordinate contributes nothing here (its
-    total is larger than the window or infinite) and is skipped exactly.
+    <= through and therefore sits inside the Cayley ball `dm` once its
+    radius reaches `through`, so a tuple with an out-of-ball coordinate
+    contributes nothing here (its total is larger than the window or
+    infinite) and is skipped exactly.
     """
-    graph, base = build_cayley(group, gens)
-    dm = distances_upto(graph, base, through, cap=cap)
+    dm.check_radius(through)
     terms = [0] * (through + 1)
     for tup in tuples:
         total = 0
@@ -505,52 +490,53 @@ def univariate_terms(
     return terms
 
 
-def cycle_weight_set(graph: QuotientGraph, *, cycle_cap: int = 1_000_000) -> list[int]:
-    return sorted(
-        {walk_weight(graph, c) for c in enumerate_cycles(graph, cap=cycle_cap)}
-    )
+def coupling_radius(graph: QuotientGraph, mmset: MonoidModuleSet) -> int:
+    """The least ball radius `default_set_denominator` accepts.
+
+    It is the largest |u|_1 over the translations u of the piece
+    generators, times the largest generator weight.
+    """
+    return max(
+        (sum(abs(c) for c in u) for p in mmset.pieces for g in p.ugens for u in g),
+        default=0,
+    ) * graph.max_weight()
 
 
 def default_set_denominator(
-    group: VAGroup,
-    gens: list[WeightedGenerator],
+    graph: QuotientGraph,
+    dm: DistanceMap,
     mmset: MonoidModuleSet,
     *,
-    cap: int = DEFAULT_BALL_CAP,
     cycle_cap: int = 1_000_000,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Denominator ansatz for the multivariate fit of a monoid-module set.
 
     Per axis: (1 - z_i) and one (1 - z_i^w) per distinct cycle weight of
-    the Cayley quotient; plus one coupling factor (1 - z^w) per piece
-    generator, graded by the word weight of each coordinate's translation.
+    the Cayley quotient `graph`; plus one coupling factor (1 - z^w) per
+    piece generator, graded by the word weight of each coordinate's
+    translation in the ball `dm`, whose radius must reach `coupling_radius`.
     """
-    graph, base = build_cayley(group, gens)
+    dm.check_radius(coupling_radius(graph, mmset))
     d = mmset.arity
     vectors: set[tuple[int, ...]] = set()
-    weights = cycle_weight_set(graph, cycle_cap=cycle_cap)
+    weights = {walk_weight(graph, c) for c in enumerate_cycles(graph, cap=cycle_cap)}
     for i in range(d):
         vectors.add(tuple(1 if j == i else 0 for j in range(d)))
         vectors.update(tuple(w if j == i else 0 for j in range(d)) for w in weights)
     # coupling terms: grade each piece generator by the word weight of its
-    # per-coordinate lattice translation, skipping unrepresentable ones
-    lattice_points = [u for piece in mmset.pieces for gen in piece.ugens for u in gen]
-    if lattice_points:
-        radius = max(sum(abs(c) for c in u) for u in lattice_points) * max(
-            (g.weight for g in gens), default=1
-        )
-        dm = distances_upto(graph, base, radius, cap=cap)
-        for piece in mmset.pieces:
-            for gen in piece.ugens:
-                wvec = []
-                for u in gen:
-                    dist = 0 if not any(u) else dm.distance(PeriodicVertex(0, u))
-                    if dist is None:
-                        break
-                    wvec.append(dist)
-                else:
-                    if any(wvec):
-                        vectors.add(tuple(wvec))
+    # per-coordinate lattice translation; a translation outside the ball has
+    # no known weight there, and the generator is skipped
+    for piece in mmset.pieces:
+        for gen in piece.ugens:
+            wvec = []
+            for u in gen:
+                dist = 0 if not any(u) else dm.distance(PeriodicVertex(0, u))
+                if dist is None:
+                    break
+                wvec.append(dist)
+            else:
+                if any(wvec):
+                    vectors.add(tuple(wvec))
     return [(w, 1) for w in sorted(vectors, key=lambda w: (sum(w), w))]
 
 

@@ -185,7 +185,7 @@ def test_acceptance_7_diagonal_identities(capsys):
         diagonal = [(v, v) for v in dm.entries]
         from perigrowth.ball import relative_counts
 
-        table = relative_counts(g, base, diagonal, box)
+        table = relative_counts(dm, diagonal, box)
         fitted_s = fit_multivariate(table.counts_exact, box, [((1, 1), 1)])
         assert fitted_s.numerator == {(0, 0): 1, (1, 1): 1}
         assert fitted_s.factors == (((1, 1), 1),)
@@ -214,7 +214,9 @@ def test_acceptance_8_involution_algebraic_set(capsys):
         mmset = parse_set(data_text("invol.set"), group)
         box = (10,)
         from_equations = solve_box(group, arity, words, 9)
-        from_pieces = enumerate_monoid_module_set(group, gens, mmset, box)
+        graph, base = build_cayley(group, gens)
+        dm = distances_upto(graph, base, 10)
+        from_pieces = enumerate_monoid_module_set(dm, mmset, box)
         assert sorted(from_equations) == sorted(from_pieces)
         # independent oracle: word weights give 1, 1, 2, 2, ... whose series
         # sums to (1 + t^2) / (1 - t)
@@ -223,7 +225,7 @@ def test_acceptance_8_involution_algebraic_set(capsys):
         for tup in from_pieces:
             oracle[weights[tup[0]]] += 1
         assert oracle == [1, 1] + [2] * 9
-        table = relative_growth_terms(group, gens, from_pieces, box)
+        table = relative_growth_terms(graph, dm, from_pieces, box)
         assert [table.counts_exact.get((i,), 0) for i in range(11)] == oracle
         mv = fit_multivariate(
             table.counts_exact, box, [((1,), 1), ((2,), 1)]
@@ -231,7 +233,7 @@ def test_acceptance_8_involution_algebraic_set(capsys):
         specialized = specialize_to_univariate(mv)
         direct = canonicalize(
             fit_univariate(
-                univariate_terms(group, gens, from_pieces, 10),
+                univariate_terms(dm, from_pieces, 10),
                 ((1, 1), (2, 1)),
                 margin=5,
             )

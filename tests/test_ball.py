@@ -173,7 +173,7 @@ def test_relative_counts_diagonal(z_pm):
     base = PeriodicVertex(0, (0,))
     dm = distances_upto(z_pm, base, 3)
     diagonal = [(v, v) for v in dm.entries]
-    table = relative_counts(z_pm, base, diagonal, (3, 3))
+    table = relative_counts(dm, diagonal, (3, 3))
     for a in table.counts_exact:
         assert a[0] == a[1]
     assert table.counts_exact[(0, 0)] == 1
@@ -184,7 +184,7 @@ def test_relative_counts_diagonal(z_pm):
 def test_relative_counts_d1_collapse(square):
     base = square.vertex(0)
     dm = distances_upto(square, base, 6)
-    table = relative_counts(square, base, [(v,) for v in dm.entries], (6,))
+    table = relative_counts(dm, [(v,) for v in dm.entries], (6,))
     terms = growth_sequence(square, base, 6).terms
     for i in range(7):
         assert table.counts_exact.get((i,), 0) == terms[i]
@@ -194,7 +194,7 @@ def test_relative_counts_cumulative_identity(z_pm):
     base = PeriodicVertex(0, (0,))
     dm = distances_upto(z_pm, base, 4)
     pairs = [(v, w) for v in dm.entries for w in dm.entries]
-    table = relative_counts(z_pm, base, pairs, (4, 4))
+    table = relative_counts(dm, pairs, (4, 4))
     for a1 in range(5):
         for a2 in range(5):
             total = sum(
@@ -209,4 +209,4 @@ def test_relative_counts_outside_ball_is_hard_error(z_pm):
     base = PeriodicVertex(0, (0,))
     outside = PeriodicVertex(0, (99,))
     with pytest.raises(CoverageError):
-        relative_counts(z_pm, base, [(outside,)], (3,))
+        relative_counts(distances_upto(z_pm, base, 3), [(outside,)], (3,))

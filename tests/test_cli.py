@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from perigrowth import decomposition
+from perigrowth import ball, decomposition, vab
 from perigrowth.cli import main
+from perigrowth.series import expand_mv_series, series_from_text
 
-from conftest import data_path
+from conftest import data_path, data_text
+from oracles import word_weights
 
 # expected stdout bytes (<name>.out) and exit codes (exit_codes.json); only an
 # intended change of the output format may rewrite them
@@ -172,9 +174,13 @@ def test_vag_relative_lattice_diagonal_inside_dinf(capsys):
     assert "crosscheck PASS" in out.splitlines()
 
 
+# Z with unit generators a, a^-1: a trivial finite part over a rank-1 lattice
+Z_VAG = "rank 1\nfinite 1\nmult 0\ngen a 1 0 1\ngen ai -1 0 1\n"
+
+
 def test_vag_relative_diagonal_over_z(capsys, tmp_path):
     zfile = tmp_path / "z.vag"
-    zfile.write_text("rank 1\nfinite 1\nmult 0\ngen a 1 0 1\ngen ai -1 0 1\n")
+    zfile.write_text(Z_VAG)
     code, out, _ = run_cli(
         capsys,
         "vag", "relative", str(zfile), data_path("diag.set"), "--upto", "12,12",
@@ -236,6 +242,74 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
     )
     assert code == 0
     assert sorted(calls) == ["enumerate_cycles", "support_distances"]
+
+
+def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        vab, "build_cayley", counting(calls, "build_cayley", vab.build_cayley)
+    )
+    monkeypatch.setattr(
+        ball, "distances_upto", counting(calls, "distances_upto", ball.distances_upto)
+    )
+    code, _, _ = run_cli(
+        capsys,
+        "vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
+        "--upto", "10", "--margin", "5",
+    )
+    assert code == 0
+    assert sorted(calls) == ["build_cayley", "distances_upto"]
+
+
+def test_vag_relative_grades_coupling_by_ball_weight(capsys, tmp_path):
+    # in the Klein-bottle group (0,1;0) = b^2 weighs 2, more than |u|_1 times
+    # the largest generator weight; the coupling factor (1 - z1 z2^2) must
+    # still enter the ansatz, or the multivariate fit fails
+    path = tmp_path / "k.set"
+    path.write_text("arity 2\npiece\nugen 1 0 0 1\nshift (0,0;0) (0,0;0)\n")
+    code, out, err = run_cli(
+        capsys, "vag", "relative", data_path("klein.vag"), str(path), "--upto", "12"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "den 1 2 ^1" in lines
+    assert lines[-1] == "crosscheck PASS"
+    start = lines.index("series d=2")
+    end = lines.index("verified 12 12") + 1
+    fit = series_from_text("\n".join(lines[start:end]))
+    # brute force: the set is {(a^k, b^2k)}, graded by word weights alone
+    group, gens = vab.parse_vag(data_text("klein.vag"))
+    weights = word_weights(group, gens, 12)
+    table = {}
+    for k in range(13):
+        w = (
+            weights.get(vab.GroupElement((k, 0), 0)),
+            weights.get(vab.GroupElement((0, k), 0)),
+        )
+        if None not in w:
+            table[w] = table.get(w, 0) + 1
+    expansion = expand_mv_series(fit, (12, 12))
+    assert {a: c for a, c in expansion.items() if c} == table
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pg", "growth", data_path("square.pg"), "--upto", "3", "--base", "nosuch"],
+         "unknown orbit name 'nosuch'"),
+        (["vag", "solve", data_path("dinf.vag"), data_path("involution.eqn"),
+          "--box", "-1"], "box radius must be nonnegative"),
+        (["pg", "series", data_path("square.pg"), "--upto", "30", "--margin", "-3"],
+         "margin must be nonnegative"),
+        (["vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
+          "--upto", "10", "--margin", "-1"], "margin must be nonnegative"),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_vag_argumentless_rank_exits_2(capsys, tmp_path):
@@ -336,3 +410,16 @@ def test_cli_decompose_three_orbits_matches_golden(capsys, tmp_path):
     path.write_text(PLANE3)
     argv = ["pg", "decompose", str(path), "--upto", "8"]
     check_golden(capsys, argv, "plane3_decompose")
+
+
+def test_cli_relative_diagonal_in_dinf_matches_golden(capsys):
+    # no fit at this ansatz: exit 1 with empty stdout
+    argv = ["vag", "relative", data_path("dinf.vag"), data_path("diag.set"), "--upto", "12"]
+    check_golden(capsys, argv, "dinf_diag_relative")
+
+
+def test_cli_relative_diagonal_over_z_matches_golden(capsys, tmp_path):
+    path = tmp_path / "z.vag"
+    path.write_text(Z_VAG)
+    argv = ["vag", "relative", str(path), data_path("diag.set"), "--upto", "12,12"]
+    check_golden(capsys, argv, "z_diag_relative")

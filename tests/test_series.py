@@ -230,7 +230,7 @@ def _diagonal_table(z_pm, box):
     base = PeriodicVertex(0, (0,))
     dm = distances_upto(z_pm, base, max(box))
     diagonal = [(v, v) for v in dm.entries]
-    return relative_counts(z_pm, base, diagonal, box)
+    return relative_counts(dm, diagonal, box)
 
 
 def test_fit_multivariate_diagonal(z_pm):
@@ -256,7 +256,7 @@ def test_fit_multivariate_d1_matches_univariate(square):
     base = square.vertex(0)
     terms = growth_sequence(square, base, 20).terms
     dm = distances_upto(square, base, 20)
-    table = relative_counts(square, base, [(v,) for v in dm.entries], (20,))
+    table = relative_counts(dm, [(v,) for v in dm.entries], (20,))
     mv = fit_multivariate(table.counts_exact, (20,), [((1,), 5)])
     uni = fit_univariate(terms, ((1, 5),))
     assert {a[0]: c for a, c in mv.numerator.items()} == {
@@ -269,7 +269,7 @@ def test_fit_multivariate_product_structure(z_pm):
     box = (10, 10)
     dm = distances_upto(z_pm, base, 10)
     pairs = [(v, w) for v in dm.entries for w in dm.entries]
-    table = relative_counts(z_pm, base, pairs, box)
+    table = relative_counts(dm, pairs, box)
     fit = fit_multivariate(
         table.counts_exact, box, [((1, 0), 1), ((0, 1), 1)]
     )
@@ -379,10 +379,16 @@ def test_escalation_ladder_squares_factors():
         (2, "den 0 0 ^1"),
         (1, "num -1 5"),
         (1, "verified -1"),
+        (1, "num 0 2"),
+        (1, "verified 5"),
     ],
 )
 def test_series_from_text_format_errors(arity, bad):
-    text = f"series d={arity}\nverified {' '.join(['3'] * arity)}\n{bad}\n"
+    # every case sits after a valid verified line and a constant term
+    text = (
+        f"series d={arity}\nverified {' '.join(['3'] * arity)}\n"
+        f"num {'0 ' * arity}1\n{bad}\n"
+    )
     with pytest.raises(FormatError, match=re.escape(repr(bad))):
         series_from_text(text)
 

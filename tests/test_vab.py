@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from perigrowth.ball import growth_sequence
+from perigrowth.ball import distances_upto, growth_sequence, relative_counts
 from perigrowth.errors import CoverageError, DisjointnessError, FormatError, GuardError
 from perigrowth.periodic_graph import PeriodicVertex
 from perigrowth.series import (
@@ -197,8 +197,6 @@ def test_cayley_dinf_three_generators_weights(dinf):
 
 
 def test_cayley_distance_equals_word_weight(klein, dinf):
-    from perigrowth.ball import distances_upto
-
     for group, gens in (klein, dinf):
         graph, base = build_cayley(group, gens)
         dm = distances_upto(graph, base, 10)
@@ -258,6 +256,12 @@ def test_parse_eqn_errors(dinf):
         parse_eqn("vars 1\nword [1,2;0]\n", group)  # rank mismatch
 
 
+def _ball(group, gens, radius):
+    """The Cayley graph of (group, gens) and its ball about the identity."""
+    graph, base = build_cayley(group, gens)
+    return graph, distances_upto(graph, base, radius)
+
+
 def test_enumerate_diagonal_piece():
     group = z_group()
     gens = [
@@ -266,7 +270,8 @@ def test_enumerate_diagonal_piece():
     ]
     piece = MonoidModulePiece((((1,), (1,)),), (group.identity(), group.identity()))
     mmset = MonoidModuleSet(2, (piece,))
-    tuples = enumerate_monoid_module_set(group, gens, mmset, (5, 5))
+    _, dm = _ball(group, gens, 5)
+    tuples = enumerate_monoid_module_set(dm, mmset, (5, 5))
     assert tuples == [
         (E((k,), 0), E((k,), 0)) for k in range(6)
     ]
@@ -281,14 +286,17 @@ def test_enumerate_detects_overlap():
     p1 = MonoidModulePiece((((1,),),), (group.identity(),))
     p2 = MonoidModulePiece((((1,),),), (E((1,), 0),))  # overlaps p1 from 1 on
     with pytest.raises(DisjointnessError):
-        enumerate_monoid_module_set(group, gens, MonoidModuleSet(1, (p1, p2)), (4,))
+        enumerate_monoid_module_set(
+            _ball(group, gens, 4)[1], MonoidModuleSet(1, (p1, p2)), (4,)
+        )
 
 
 def test_enumerate_matches_solve_box(dinf):
     group, gens = dinf
     mmset = parse_set(data_text("invol.set"), group)
     arity, words = parse_eqn(data_text("involution.eqn"), group)
-    tuples = enumerate_monoid_module_set(group, gens, mmset, (10,))
+    _, dm = _ball(group, gens, 10)
+    tuples = enumerate_monoid_module_set(dm, mmset, (10,))
     solutions = solve_box(group, arity, words, 9)
     assert sorted(tuples) == sorted(solutions)
 
@@ -298,15 +306,17 @@ def test_enumerate_needs_reachable_coordinates():
     group = z_group()
     gens = [WeightedGenerator("a", E((1,), 0), 1)]
     piece = MonoidModulePiece((((-1,),),), (group.identity(),))
-    tuples = enumerate_monoid_module_set(group, gens, MonoidModuleSet(1, (piece,)), (5,))
+    _, dm = _ball(group, gens, 5)
+    tuples = enumerate_monoid_module_set(dm, MonoidModuleSet(1, (piece,)), (5,))
     assert tuples == [(group.identity(),)]
 
 
 def test_relative_growth_terms_involutions(dinf):
     group, gens = dinf
     mmset = parse_set(data_text("invol.set"), group)
-    tuples = enumerate_monoid_module_set(group, gens, mmset, (8,))
-    table = relative_growth_terms(group, gens, tuples, (8,))
+    graph, dm = _ball(group, gens, 8)
+    tuples = enumerate_monoid_module_set(dm, mmset, (8,))
+    table = relative_growth_terms(graph, dm, tuples, (8,))
     counts = [table.counts_exact.get((i,), 0) for i in range(9)]
     assert counts == [1, 1, 2, 2, 2, 2, 2, 2, 2]
 
@@ -314,11 +324,9 @@ def test_relative_growth_terms_involutions(dinf):
 def test_relative_growth_full_group_recovers_growth(dinf):
     group, gens = dinf
     graph, base = build_cayley(group, gens)
-    from perigrowth.ball import distances_upto
-
     dm = distances_upto(graph, base, 7)
     tuples = [(GroupElement(v.coord, v.orbit),) for v in dm.entries]
-    table = relative_growth_terms(group, gens, tuples, (7,))
+    table = relative_growth_terms(graph, dm, tuples, (7,))
     terms = growth_sequence(graph, base, 7).terms
     assert [table.counts_exact.get((i,), 0) for i in range(8)] == list(terms)
 
@@ -331,8 +339,9 @@ def test_relative_growth_diagonal_series():
     ]
     mmset = parse_set(data_text("diag.set"), group)
     box = (12, 12)
-    tuples = enumerate_monoid_module_set(group, gens, mmset, box)
-    table = relative_growth_terms(group, gens, tuples, box)
+    graph, dm = _ball(group, gens, 12)
+    tuples = enumerate_monoid_module_set(dm, mmset, box)
+    table = relative_growth_terms(graph, dm, tuples, box)
     fit = fit_multivariate(table.counts_exact, box, [((1, 1), 1)])
     assert fit.numerator == {(0, 0): 1, (1, 1): 1}
     assert fit.factors == (((1, 1), 1),)
@@ -345,7 +354,7 @@ def test_relative_growth_rejects_reachable_outside_ball():
         WeightedGenerator("ai", E((-1,), 0), 1),
     ]
     with pytest.raises(CoverageError):
-        relative_growth_terms(group, gens, [(E((99,), 0),)], (5,))
+        relative_growth_terms(*_ball(group, gens, 5), [(E((99,), 0),)], (5,))
 
 
 def test_relative_growth_drops_unreachable_coset(dinf):
@@ -355,7 +364,7 @@ def test_relative_growth_drops_unreachable_coset(dinf):
         WeightedGenerator("ai", E((-1,), 0), 1),
     ]
     tuples = [(E((0,), 1),), (group.identity(),)]
-    table = relative_growth_terms(group, lattice_only, tuples, (4,))
+    table = relative_growth_terms(*_ball(group, lattice_only, 4), tuples, (4,))
     assert [table.counts_exact.get((i,), 0) for i in range(5)] == [1, 0, 0, 0, 0]
 
 
@@ -363,17 +372,34 @@ def test_specialization_identity(dinf):
     group, gens = dinf
     mmset = parse_set(data_text("invol.set"), group)
     box = (10,)
-    tuples = enumerate_monoid_module_set(group, gens, mmset, box)
-    table = relative_growth_terms(group, gens, tuples, box)
-    factors = default_set_denominator(group, gens, mmset)
+    graph, dm = _ball(group, gens, 10)
+    tuples = enumerate_monoid_module_set(dm, mmset, box)
+    table = relative_growth_terms(graph, dm, tuples, box)
+    factors = default_set_denominator(graph, dm, mmset)
     mv = fit_multivariate(table.counts_exact, box, factors)
     specialized = specialize_to_univariate(mv)
-    uni = univariate_terms(group, gens, tuples, 10)
+    uni = univariate_terms(dm, tuples, 10)
     direct = canonicalize(
         fit_univariate(uni, [(sum(w), e) for w, e in mv.factors], margin=5)
     )
     assert specialized.numerator == direct.numerator == (1, 0, 1)
     assert specialized.factors == direct.factors == ((1, 1),)
+
+
+def test_ball_consumers_reject_a_short_ball(dinf):
+    group, gens = dinf
+    mmset = parse_set(data_text("invol.set"), group)
+    graph, dm = _ball(group, gens, 3)
+    tuples = enumerate_monoid_module_set(dm, mmset, (3,))
+    for call in (
+        lambda: enumerate_monoid_module_set(dm, mmset, (4,)),
+        lambda: relative_growth_terms(graph, dm, tuples, (4,)),
+        lambda: univariate_terms(dm, tuples, 4),
+        lambda: default_set_denominator(graph, _ball(group, gens, 0)[1], mmset),
+        lambda: relative_counts(dm, [], (4,)),
+    ):
+        with pytest.raises(ValueError, match="needs a ball of radius 4|radius 1, got 0"):
+            call()
 
 
 def test_parse_vag_round_trip_values(dinf):
