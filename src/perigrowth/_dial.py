@@ -2,10 +2,12 @@
 
 `dial_distances` is monotone label-setting over integer weights (Dial's
 bucket queue).  It is generic over node type, so the same search drives
-plain ball expansion and the (vertex, support-mask) product searches used
-by the decomposition machinery.  Buckets are indexed by distance mod (max
-weight + 1); with all weights in [1, W] every pending label lives within
-that window.
+plain ball expansion, the (vertex, support-mask) product search and the
+per-subset minimum-degree searches of the decomposition machinery.  Each
+start carries its own initial distance.  Buckets are indexed by distance mod
+(max(W, D) + 1), where W bounds the step weights and D the start distances:
+once the labels below d are settled, every pending label lies in
+[d, d + max(W, D)], so no two pending distances share a bucket.
 
 `reachable` is worklist saturation: the closure of a start set under a
 successor function.  Monoid and module saturation, multigraded Hilbert
@@ -24,7 +26,7 @@ Node = Hashable
 
 
 def dial_distances(
-    starts: Iterable[Node],
+    starts: Iterable[tuple[Node, int]],
     successors: Callable[[Node], Iterable[tuple[Node, int]]],
     budget: int,
     max_weight: int,
@@ -32,13 +34,21 @@ def dial_distances(
     cap: int = 10_000_000,
     cap_what: str = "search frontier",
 ) -> dict[Node, int]:
-    """Exact distances d(start, v) <= budget for every reachable node v."""
-    modulus = max_weight + 1 if max_weight > 0 else 1
-    buckets: list[list[Node]] = [[] for _ in range(modulus)]
+    """Exact distances min over starts (s, d0) of d0 + d(s, v), up to budget.
+
+    Starts beyond the budget are dropped; a node given twice keeps its
+    smaller start distance.
+    """
     dist: dict[Node, int] = {}
-    for s in starts:
-        dist[s] = 0
-        buckets[0].append(s)
+    for s, d0 in starts:
+        if d0 < 0:
+            raise ValueError(f"negative start distance {d0}")
+        if d0 <= budget and dist.get(s, d0 + 1) > d0:
+            dist[s] = d0
+    modulus = max(max_weight, max(dist.values(), default=0)) + 1
+    buckets: list[list[Node]] = [[] for _ in range(modulus)]
+    for s, d0 in dist.items():
+        buckets[d0 % modulus].append(s)
     for d in range(budget + 1):
         slot = buckets[d % modulus]
         if not slot:

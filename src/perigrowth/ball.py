@@ -116,7 +116,12 @@ def _packed_distances(
         return PeriodicVertex(key % n, coord)
 
     dist = dial_distances(
-        [start], successors, radius, g.max_weight(), cap=cap, cap_what="ball size"
+        [(start, 0)],
+        successors,
+        radius,
+        g.max_weight(),
+        cap=cap,
+        cap_what="ball size",
     )
     return dist, decode
 

@@ -235,11 +235,7 @@ def cmd_vag_relative(args) -> int:
     window = min(box)
     uni_terms = vab.univariate_terms(dm, tuples, window)
     direct = series.canonicalize(
-        series.fit_univariate_auto(
-            uni_terms,
-            series.merge_factors((sum(w), e) for w, e in fit.factors),
-            margin=args.margin,
-        )
+        series.fit_univariate_auto(uni_terms, specialized.factors, margin=args.margin)
     )
     lines = [FORMAT_HEADER]
     lines.extend(_table_lines(table))

@@ -6,9 +6,9 @@ inside S, acting on the set of (budget, endpoint) pairs reachable by walks
 whose quotient support is exactly S.  The graded growth set is the union
 of these modules over all S, each finitely generated with generator
 degrees bounded by W * (#S)^2 where W is the largest edge weight.  This
-module constructs the generators, verifies the cover and the module
-action by finite saturation, and performs desk-scale gradewise
-intersections and multigraded Hilbert counts.
+module constructs the generators, verifies the cover by least degrees and
+the module action, and performs desk-scale gradewise intersections and
+multigraded Hilbert counts by finite saturation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from ._dial import dial_distances, reachable
-from .ball import graded_growth_slice
+from .ball import distances_upto
 from .errors import GuardError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
@@ -141,7 +141,7 @@ def support_distances(
 
     start = (x0, frozenset((x0.orbit,)))
     return dial_distances(
-        [start],
+        [(start, 0)],
         successors,
         budget,
         g.max_weight(),
@@ -256,6 +256,52 @@ def _action(sdist, S: SupportSet, monoid: GradedMonoid, radius: int) -> ActionRe
     return ActionReport(True, S, None)
 
 
+def _min_degrees(
+    monoid: GradedMonoid, module_gens, radius: int, cap: int
+) -> dict[PeriodicVertex, int]:
+    """Least degree <= radius at which each vertex lies in the module.
+
+    One multi-source search: every module generator (d, y) is a source at
+    its own degree d, and every monoid generator that moves the vertex is a
+    step weighted by its degree.  Generators with a zero vector, the degree
+    step (1, 0) among them, only raise the degree at the same vertex, so
+    they never lower a least degree and are skipped.
+    """
+    zero = monoid.zero()[1]
+    _check_degree_zero(monoid.generators, zero)
+    steps = [(gd, gvec) for gd, gvec in monoid.generators if gvec != zero]
+
+    def successors(y):
+        return [(translate(y, gvec), gd) for gd, gvec in steps]
+
+    return dial_distances(
+        [(y, d) for d, y in module_gens],
+        successors,
+        radius,
+        max((gd for gd, _ in steps), default=0),
+        cap=cap,
+        cap_what="module saturation",
+    )
+
+
+def _pair_count(low: dict, radius: int) -> int:
+    """Number of pairs (i, y) with low[y] <= i <= radius."""
+    return sum(radius - d + 1 for d in low.values())
+
+
+def _witnesses(low: dict, high: dict, radius: int, k: int) -> tuple:
+    """The k least pairs (i, y) with low[y] <= i <= radius and i < high[y].
+
+    A vertex missing from `high` bounds nothing.  Each vertex yields at most
+    its k lowest pairs, which is enough for the k least overall.
+    """
+    pairs = []
+    for y, lo in low.items():
+        hi = min(high.get(y, radius + 1), lo + k)
+        pairs.extend((i, y) for i in range(lo, hi))
+    return tuple(sorted(pairs)[:k])
+
+
 def verify_cover(
     g: QuotientGraph,
     x0: PeriodicVertex,
@@ -269,41 +315,54 @@ def verify_cover(
 ) -> CoverReport:
     """Check that the union of truncated modules equals the graded growth set.
 
-    Cycles are enumerated once and the support-graded search runs once, at
-    the radius.  For every orbit subset S the module generators are
-    truncated at the degree bound and saturated under the monoid action up
-    to the radius; the union over all S must coincide with the set of pairs
-    (i, y) with d(x0, y) <= i <= radius.  The report also carries, per S,
-    the monoid, the module generators (as `build_MS` and
-    `build_XS_generators` with `budget=radius` give them) and the
-    `verify_module_action` report.
+    The target is the set of pairs (i, y) with d(x0, y) <= i <= radius.  For
+    every orbit subset S the module generators are truncated at the degree
+    bound and moved by the monoid up to the radius; the union of these
+    pieces over all S must equal the target.
+
+    Both sides are compared by least degree per vertex, not pair by pair.
+    Every monoid holds the degree step (1, 0), so each piece is upward
+    closed in degree: it is {(i, y) : m_S(y) <= i <= radius}, where m_S(y)
+    is the least degree of a module element at y.  The target is upward
+    closed in the same way, with least degree d(x0, y), and so is the
+    union, with least degree min_S m_S(y).  The sets are therefore equal
+    exactly when these two maps are, and `covered`, `module_sizes` and the
+    sorted `missing` and `extra` witnesses are rebuilt from the maps.
+
+    Cycles are enumerated once, the ball and the support-graded search run
+    once, at the radius, and m_S takes one multi-source search per S.
+    `cap` bounds the vertices of each search: the ball, the support-graded
+    states and the vertices reached per subset (not the pairs).  The
+    report also carries, per S, the monoid, the module generators (as
+    `build_MS` and `build_XS_generators` with `budget=radius` give them)
+    and the `verify_module_action` report.
     """
     if g.num_orbits > orbit_guard:
         raise GuardError(
             f"{g.num_orbits} orbits exceed the subset guard of {orbit_guard}"
         )
-    target = graded_growth_slice(g, x0, radius, cap=cap)
+    target = distances_upto(g, x0, radius, cap=cap).entries
     sdist = support_distances(g, x0, radius, cap=cap)
     cycle_data = _cycle_data(g, cycle_cap)
-    union: set[tuple[int, PeriodicVertex]] = set()
+    union: dict[PeriodicVertex, int] = {}
     sizes: dict[SupportSet, int] = {}
     blocks = []
     for S in all_support_sets(g):
         monoid = _monoid(g.dim, S, cycle_data)
         bound = min(module_degree_bound(g, S), radius)
         gens = _module_gens(sdist, S, bound, exhaustive)
-        piece = module_elements_upto(monoid, gens.generators, radius, cap=cap)
-        sizes[S] = len(piece)
-        union |= piece
+        piece = _min_degrees(monoid, gens.generators, radius, cap)
+        sizes[S] = _pair_count(piece, radius)
+        for y, d in piece.items():
+            if union.get(y, d + 1) > d:
+                union[y] = d
         blocks.append((S, monoid, gens, _action(sdist, S, monoid, radius)))
-    missing = tuple(sorted(target - union))[:max_witnesses]
-    extra = tuple(sorted(union - target))[:max_witnesses]
     return CoverReport(
-        ok=not missing and not extra,
+        ok=union == target,
         radius=radius,
-        covered=len(target),
-        missing=missing,
-        extra=extra,
+        covered=_pair_count(target, radius),
+        missing=_witnesses(target, union, radius, max_witnesses),
+        extra=_witnesses(union, target, radius, max_witnesses),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )

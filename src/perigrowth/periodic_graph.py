@@ -12,6 +12,7 @@ addition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .errors import FormatError, InputError
 
@@ -124,7 +125,7 @@ def translate(x: PeriodicVertex, u: Vector) -> PeriodicVertex:
         raise ValueError(
             f"length mismatch: vector has length {len(u)}, vertex has {len(x.coord)}"
         )
-    return PeriodicVertex(x.orbit, tuple(a + b for a, b in zip(x.coord, u)))
+    return PeriodicVertex(x.orbit, tuple(map(add, x.coord, u)))
 
 
 def out_neighbors(

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive and self-contained: hand counts,
 explicitly materialized patches, exhaustive enumeration.  None of it calls
-the code paths under test (group word enumeration uses only `multiply`).
+the code paths under test (group word enumeration uses only `multiply`);
+the pair-set cover materializes every graded pair through
+`module_elements_upto` and `graded_growth_slice`, which the least-degree
+cover check does not use.
 """
 
 import heapq
@@ -11,6 +14,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import product
 
+from perigrowth.ball import graded_growth_slice
+from perigrowth.decomposition import module_elements_upto
 from perigrowth.vab import multiply
 
 
@@ -79,6 +84,52 @@ def dijkstra_ball(edges, base, radius: int) -> dict:
                 dist[nb] = d + weight
                 heapq.heappush(heap, (d + weight, nb))
     return dist
+
+
+def heap_distances(starts, successors, budget: int) -> dict:
+    """Least d0 + walk weight <= budget per node, by a binary heap.
+
+    `starts` lists (node, d0) pairs and `successors(node)` yields
+    (node, weight) pairs with positive weights; nodes must be orderable.
+    """
+    dist = {}
+    heap = []
+    for node, d0 in starts:
+        if d0 <= budget and (node not in dist or d0 < dist[node]):
+            dist[node] = d0
+            heapq.heappush(heap, (d0, node))
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nb, w in successors(node):
+            if d + w <= budget and (nb not in dist or d + w < dist[nb]):
+                dist[nb] = d + w
+                heapq.heappush(heap, (d + w, nb))
+    return dist
+
+
+def pair_set_cover(g, x0, radius: int, blocks, max_witnesses) -> dict:
+    """A cover report's values, recomputed from its blocks by pair sets.
+
+    Each block's module is saturated to the full set of its graded pairs
+    (i, y) with i <= radius, and the union is compared with the graded
+    growth slice.  `max_witnesses=None` keeps every witness.
+    """
+    target = graded_growth_slice(g, x0, radius)
+    union = set()
+    sizes = {}
+    for S, monoid, gens, _ in blocks:
+        piece = module_elements_upto(monoid, gens.generators, radius)
+        sizes[S] = len(piece)
+        union |= piece
+    return {
+        "ok": union == target,
+        "covered": len(target),
+        "missing": tuple(sorted(target - union))[:max_witnesses],
+        "extra": tuple(sorted(union - target))[:max_witnesses],
+        "module_sizes": sizes,
+    }
 
 
 def brute_force_cycles(g, max_length: int) -> set[tuple[int, ...]]:

@@ -233,15 +233,25 @@ def counting(calls, name, fn):
 
 
 def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
+    # one ball and no graded pair sets: the cover compares least degrees
     calls = []
-    for name in ("enumerate_cycles", "support_distances"):
-        fn = getattr(decomposition, name)
-        monkeypatch.setattr(decomposition, name, counting(calls, name, fn))
+    names = (
+        "enumerate_cycles",
+        "support_distances",
+        "distances_upto",
+        "graded_growth_slice",
+        "module_elements_upto",
+    )
+    for module in (ball, decomposition):
+        for name in names:
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counting(calls, name, fn))
     code, _, _ = run_cli(
         capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
     )
     assert code == 0
-    assert sorted(calls) == ["enumerate_cycles", "support_distances"]
+    assert sorted(calls) == ["distances_upto", "enumerate_cycles", "support_distances"]
 
 
 def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch):
@@ -413,7 +423,8 @@ def test_cli_decompose_three_orbits_matches_golden(capsys, tmp_path):
 
 
 def test_cli_relative_diagonal_in_dinf_matches_golden(capsys):
-    # no fit at this ansatz: exit 1 with empty stdout
+    # the crosscheck fits over the specialized denominator (1 - t^2), so it
+    # certifies at this box; over every specialized ansatz factor it would not
     argv = ["vag", "relative", data_path("dinf.vag"), data_path("diag.set"), "--upto", "12"]
     check_golden(capsys, argv, "dinf_diag_relative")
 

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perigrowth import decomposition
 from perigrowth.decomposition import (
     GradedMonoid,
     all_support_sets,
@@ -14,9 +17,14 @@ from perigrowth.decomposition import (
     verify_module_action,
 )
 from perigrowth.errors import GuardError
-from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
+from perigrowth.periodic_graph import (
+    EdgeOrbit,
+    PeriodicVertex,
+    QuotientGraph,
+    parse_periodic_graph,
+)
 
-from oracles import monoid_elements_by_exponents
+from oracles import monoid_elements_by_exponents, pair_set_cover
 
 V = PeriodicVertex
 
@@ -294,3 +302,80 @@ def test_generators_split_off_above_degree_bound(z_pm):
             for gi, gv in gens.generators
             if gi <= i and gv.orbit == y.orbit
         )
+
+
+@st.composite
+def plane_covers(draw):
+    """A random plane graph with 1-3 orbits and weights 1-2, directed or
+    inverse-closed, a base vertex, a radius and the cover options."""
+    n = draw(st.integers(1, 3))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                st.integers(1, 2),
+            ),
+            max_size=5,
+        )
+    )
+    if draw(st.booleans()):  # inverse-closed: every edge has its reverse
+        edges += [(dst, src, (-s, -t), w) for src, dst, (s, t), w in edges]
+    g = QuotientGraph(
+        2,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
+    x0 = V(draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-3, 3)] * 2)))
+    return g, x0, draw(st.integers(0, 6)), draw(st.booleans()), draw(st.integers(1, 4))
+
+
+def assert_matches_pair_sets(report, g, x0, radius, max_witnesses):
+    expected = pair_set_cover(g, x0, radius, report.blocks, max_witnesses)
+    assert report.ok == expected["ok"]
+    assert report.covered == expected["covered"]
+    assert report.missing == expected["missing"]
+    assert report.extra == expected["extra"]
+    assert report.module_sizes == expected["module_sizes"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(plane_covers())
+def test_cover_by_least_degrees_matches_pair_sets(case):
+    g, x0, radius, exhaustive, max_witnesses = case
+    report = verify_cover(
+        g, x0, radius, exhaustive=exhaustive, max_witnesses=max_witnesses
+    )
+    assert report.ok
+    assert_matches_pair_sets(report, g, x0, radius, max_witnesses)
+
+
+def test_cover_missing_pairs_match_pair_sets(honeycomb, monkeypatch):
+    # no module generator beyond degree 0: most of the ball goes missing
+    monkeypatch.setattr(decomposition, "module_degree_bound", lambda g, S: 0)
+    x0, radius = honeycomb.vertex(0), 6
+    report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
+    assert not report.ok
+    assert len(report.missing) == 3 and not report.extra
+    assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
+    every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
+    assert len(every["missing"]) > 3
+
+
+def test_cover_extra_pairs_match_pair_sets(honeycomb, monkeypatch):
+    # a bogus monoid generator reaches vertices before their distance
+    real = decomposition._monoid
+
+    def bogus(rank, S, cycle_data):
+        m = real(rank, S, cycle_data)
+        return GradedMonoid(rank, m.generators + ((1, (3, 0)),))
+
+    monkeypatch.setattr(decomposition, "_monoid", bogus)
+    x0, radius = honeycomb.vertex(0), 6
+    report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
+    assert not report.ok
+    assert len(report.extra) == 3 and not report.missing
+    assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
+    every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
+    assert len(every["extra"]) > 3
