@@ -14,13 +14,8 @@ from .decomposition import (
     CoverReport,
     GradedModuleGens,
     GradedMonoid,
-    HilbertCountTable,
-    IntersectionCertificate,
     build_MS,
     build_XS_generators,
-    hilbert_counts,
-    intersect_graded_modules,
-    intersect_graded_monoids,
     verify_cover,
     verify_module_action,
 )
@@ -37,10 +32,8 @@ from .errors import (
 )
 from .periodic_graph import (
     EdgeOrbit,
-    GammaEdge,
     PeriodicVertex,
     QuotientGraph,
-    out_neighbors,
     parse_periodic_graph,
     serialize_periodic_graph,
     translate,
@@ -52,7 +45,6 @@ from .series import (
     RationalSeries,
     canonicalize,
     default_denominator,
-    evaluate_series,
     expand_series,
     fit_multivariate,
     fit_multivariate_auto,
@@ -87,13 +79,9 @@ from .vab import (
 )
 from .walks import (
     Cycle,
-    GammaWalk,
     QWalk,
     chain_of_walk,
-    decompose_walk,
     enumerate_cycles,
-    is_walkable,
-    lift_walk,
     mu,
     support,
 )

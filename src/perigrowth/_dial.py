@@ -10,10 +10,9 @@ once the labels below d are settled, every pending label lies in
 [d, d + max(W, D)], so no two pending distances share a bucket.
 
 `reachable` is worklist saturation: the closure of a start set under a
-successor function.  Monoid and module saturation, multigraded Hilbert
-counts, monoid orbit search and quotient reachability all run on it; each
-bounds its own search by yielding only successors inside its degree box or
-lattice region.
+successor function.  Module saturation, monoid orbit search and quotient
+reachability all run on it; each bounds its own search by yielding only
+successors inside its degree bound or lattice region.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._dial import dial_distances
-from .errors import CoverageError
+from .errors import CoverageError, InputError
 from .periodic_graph import PeriodicVertex, QuotientGraph, validate
 
 DEFAULT_BALL_CAP = 10_000_000
@@ -81,7 +81,7 @@ def _packed_distances(
 ) -> tuple[dict[int, int], Callable[[int], PeriodicVertex]]:
     """Dial search over packed keys: (key -> distance, key decoder)."""
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise InputError("radius must be nonnegative")
     report = validate(g)
     if report:
         raise ValueError("; ".join(report))

@@ -2,7 +2,8 @@
 
 All output is plain sorted text behind a one-line version header so runs
 can be compared byte for byte; math-level failures (no fit, verification
-FAIL) exit 1, input problems exit 2.
+FAIL) exit 1, input problems exit 2, and internal errors print
+`internal error:` and exit 2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from . import ball, decomposition, series, vab
-from .errors import InputError, MathError, NoFitError, PerigrowthError
+from .errors import InputError, MathError, PerigrowthError
 from .periodic_graph import (
     PeriodicVertex,
     parse_periodic_graph,
@@ -51,7 +52,10 @@ def _parse_base(g, value: str | None) -> PeriodicVertex:
 
 
 def _parse_box(value: str, arity: int) -> tuple[int, ...]:
-    parts = [int(t) for t in value.split(",")]
+    try:
+        parts = [int(t) for t in value.split(",")]
+    except ValueError:
+        raise InputError(f"bad box {value!r}, expected e.g. 10 or 12,12") from None
     if len(parts) == 1:
         parts = parts * arity
     if len(parts) != arity:
@@ -328,16 +332,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except NoFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except MathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except PerigrowthError as exc:
+    except (PerigrowthError, ValueError) as exc:
+        # a broken invariant of the program, not of its input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,9 +6,8 @@ inside S, acting on the set of (budget, endpoint) pairs reachable by walks
 whose quotient support is exactly S.  The graded growth set is the union
 of these modules over all S, each finitely generated with generator
 degrees bounded by W * (#S)^2 where W is the largest edge weight.  This
-module constructs the generators, verifies the cover by least degrees and
-the module action, and performs desk-scale gradewise intersections and
-multigraded Hilbert counts by finite saturation.
+module constructs the generators and verifies the cover by least degrees
+and the module action.
 """
 
 from __future__ import annotations
@@ -53,20 +52,6 @@ class GradedModuleGens:
     support: SupportSet
     degree_bound: int
     generators: tuple[tuple[int, PeriodicVertex], ...]
-
-
-@dataclass(frozen=True)
-class IntersectionCertificate:
-    """Generators of an intersection, certified complete up to a degree.
-
-    Soundness (every listed generator lies in all inputs) holds
-    unconditionally; `complete` is True only when the caller supplied a
-    bound argument making the truncation provably exhaustive.
-    """
-
-    generators: tuple
-    verified_degree_bound: int
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -197,24 +182,6 @@ def _check_degree_zero(generators, zero_payload) -> None:
             raise ValueError(
                 "degree-0 generator with nonzero payload makes graded pieces infinite"
             )
-
-
-def monoid_elements_upto(
-    monoid: GradedMonoid, degree: int, *, cap: int = DEFAULT_SATURATION_CAP
-) -> set[tuple[int, Vector]]:
-    """All monoid elements of degree <= degree, by worklist saturation."""
-    zero = monoid.zero()
-    _check_degree_zero(monoid.generators, zero[1])
-
-    def successors(el):
-        d, vec = el
-        return [
-            (d + gd, tuple(a + b for a, b in zip(vec, gvec)))
-            for gd, gvec in monoid.generators
-            if d + gd <= degree
-        ]
-
-    return reachable([zero], successors, cap=cap, cap_what="monoid saturation")
 
 
 def module_elements_upto(
@@ -385,151 +352,3 @@ def verify_module_action(
     if monoid is None:
         monoid = build_MS(g, S)
     return _action(support_distances(g, x0, radius, cap=cap), S, monoid, radius)
-
-
-def _minimal_monoid_generators(elements, zero):
-    elems = sorted(elements)
-    elemset = set(elements)
-    gens = []
-    for e in elems:
-        if e == zero:
-            continue
-        reducible = False
-        for a in elems:
-            if a == zero or a == e:
-                continue
-            db = e[0] - a[0]
-            if db < 0:
-                continue
-            b = (db, tuple(x - y for x, y in zip(e[1], a[1])))
-            if b != zero and b in elemset:
-                reducible = True
-                break
-        if not reducible:
-            gens.append(e)
-    return tuple(gens)
-
-
-def intersect_graded_monoids(
-    monoids: list[GradedMonoid],
-    degree: int,
-    *,
-    completeness_bound: int | None = None,
-    cap: int = DEFAULT_SATURATION_CAP,
-) -> IntersectionCertificate:
-    """Generators of the intersection monoid, complete up to the degree.
-
-    Every intersection element of degree <= degree is a sum of the listed
-    generators; whether they generate the full infinite intersection is
-    only claimed when the caller supplies a completeness bound with
-    degree >= 2 * bound.
-    """
-    if not monoids:
-        raise ValueError("need at least one monoid")
-    rank = monoids[0].rank
-    if any(m.rank != rank for m in monoids):
-        raise ValueError("monoids have mismatched ambient ranks")
-    common = monoid_elements_upto(monoids[0], degree, cap=cap)
-    for m in monoids[1:]:
-        common &= monoid_elements_upto(m, degree, cap=cap)
-    zero = (0, (0,) * rank)
-    gens = _minimal_monoid_generators(common, zero)
-    complete = completeness_bound is not None and degree >= 2 * completeness_bound
-    return IntersectionCertificate(gens, degree, complete)
-
-
-def intersect_graded_modules(
-    pairs: list[tuple[GradedMonoid, list[tuple[int, PeriodicVertex]]]],
-    degree: int,
-    *,
-    completeness_bound: int | None = None,
-    cap: int = DEFAULT_SATURATION_CAP,
-) -> IntersectionCertificate:
-    """Module generators of an intersection over the intersected monoid."""
-    if not pairs:
-        raise ValueError("need at least one (monoid, generators) pair")
-    rank = pairs[0][0].rank
-    common = module_elements_upto(pairs[0][0], pairs[0][1], degree, cap=cap)
-    for monoid, gens in pairs[1:]:
-        common &= module_elements_upto(monoid, gens, degree, cap=cap)
-    monoid_common = monoid_elements_upto(pairs[0][0], degree, cap=cap)
-    for monoid, _ in pairs[1:]:
-        monoid_common &= monoid_elements_upto(monoid, degree, cap=cap)
-    zero = (0, (0,) * rank)
-    elemset = set(common)
-    gens_out = []
-    for e in sorted(common):
-        reducible = False
-        for m in monoid_common:
-            if m == zero:
-                continue
-            db = e[0] - m[0]
-            if db < 0:
-                continue
-            pre = (db, translate(e[1], tuple(-x for x in m[1])))
-            if pre in elemset:
-                reducible = True
-                break
-        if not reducible:
-            gens_out.append(e)
-    complete = completeness_bound is not None and degree >= 2 * completeness_bound
-    return IntersectionCertificate(tuple(gens_out), degree, complete)
-
-
-@dataclass(frozen=True)
-class HilbertCountTable:
-    """Exact multigraded element counts of a saturated module, over a box."""
-
-    box: tuple[int, ...]
-    values: dict[tuple[int, ...], int]
-
-
-def hilbert_counts(
-    monoid_gens: list[tuple[tuple[int, ...], tuple]],
-    module_gens: list[tuple[tuple[int, ...], tuple]],
-    box: tuple[int, ...],
-    *,
-    cap: int = DEFAULT_SATURATION_CAP,
-) -> HilbertCountTable:
-    """Count carriers per multidegree after saturating inside the box.
-
-    Monoid generators are (degree vector, action) pairs where the action
-    translates each carrier coordinate by a lattice vector; module
-    generators carry tuples of vertices (or plain lattice vectors).
-    """
-    d = len(box)
-
-    def act(carrier, action):
-        out = []
-        for y, vec in zip(carrier, action):
-            if isinstance(y, PeriodicVertex):
-                out.append(translate(y, vec))
-            else:
-                out.append(tuple(a + b for a, b in zip(y, vec)))
-        return tuple(out)
-
-    for degvec, action in monoid_gens:
-        if len(degvec) != d:
-            raise ValueError("monoid generator degree arity does not match box")
-        if sum(degvec) == 0 and any(any(c != 0 for c in vec) for vec in action):
-            raise ValueError(
-                "degree-0 generator with nonzero action makes graded pieces infinite"
-            )
-
-    def successors(el):
-        degvec, carrier = el
-        for gdeg, action in monoid_gens:
-            ndeg = tuple(a + b for a, b in zip(degvec, gdeg))
-            if all(a <= b for a, b in zip(ndeg, box)):
-                yield ndeg, act(carrier, action)
-
-    starts = [
-        (tuple(degvec), carrier)
-        for degvec, carrier in module_gens
-        if all(a <= b for a, b in zip(degvec, box))
-    ]
-    seen = reachable(starts, successors, cap=cap, cap_what="module saturation")
-    values: dict[tuple[int, ...], int] = {}
-    for degvec, _ in seen:
-        values[degvec] = values.get(degvec, 0) + 1
-    return HilbertCountTable(tuple(box), values)

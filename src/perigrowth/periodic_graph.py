@@ -4,9 +4,8 @@ A periodic graph is an infinite directed weighted graph carried by a free
 Z^n action with finite quotient.  We store only the quotient: a finite list
 of vertex orbits and, for each edge orbit, the lattice shift from the
 canonical lift of its source to its target.  Every vertex of the infinite
-cover is addressed as (orbit, lattice coordinate), every edge as
-(edge orbit, base coordinate), so the lattice action is literal coordinate
-addition.
+cover is addressed as (orbit, lattice coordinate), so the lattice action is
+literal coordinate addition.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ class PeriodicVertex:
 
     orbit: int
     coord: Vector
-
-
-@dataclass(frozen=True, order=True)
-class GammaEdge:
-    """An edge instance of the cover: the `base`-translate of the canonical lift."""
-
-    edge_orbit: int
-    base: Vector
 
 
 @dataclass(frozen=True)
@@ -126,18 +117,6 @@ def translate(x: PeriodicVertex, u: Vector) -> PeriodicVertex:
             f"length mismatch: vector has length {len(u)}, vertex has {len(x.coord)}"
         )
     return PeriodicVertex(x.orbit, tuple(map(add, x.coord, u)))
-
-
-def out_neighbors(
-    g: QuotientGraph, x: PeriodicVertex
-) -> list[tuple[GammaEdge, PeriodicVertex, int]]:
-    """All edges of the cover leaving x, in edge-orbit id order."""
-    result = []
-    for eo in g.out_edges(x.orbit):
-        edge = GammaEdge(eo.id, x.coord)
-        dst = PeriodicVertex(eo.dst, tuple(a + b for a, b in zip(x.coord, eo.shift)))
-        result.append((edge, dst, eo.weight))
-    return result
 
 
 def _tokenize(text: str):

@@ -149,13 +149,6 @@ def expand_series(rs: RationalSeries, through: int) -> list[int]:
     return out
 
 
-def evaluate_series(rs: RationalSeries, i: int) -> int:
-    """Coefficient of t^i."""
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    return expand_series(rs, i)[i]
-
-
 def default_denominator(
     g: QuotientGraph, *, cycle_cap: int = 1_000_000
 ) -> tuple[tuple[int, int], ...]:

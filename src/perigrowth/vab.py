@@ -551,6 +551,23 @@ def _int_tokens(tokens, lineno, what):
         raise FormatError(f"{what} must be integers", lineno) from None
 
 
+def _int_vector(body: str, lineno, what) -> Vector:
+    """The comma-separated integers of a `(...;f)` or `[...;f]` token body."""
+    body = body.strip()
+    return tuple(_int_tokens(body.split(","), lineno, what)) if body else ()
+
+
+def _part_index(tokens, at: int, name: str, order: int, lineno) -> int:
+    """The finite-part index in the `<name>=<i>` token at position `at`."""
+    m = re.fullmatch(rf"{name}=(\d+)", tokens[at]) if at < len(tokens) else None
+    if not m:
+        raise FormatError(f"{tokens[0]} needs {name}=<index>", lineno)
+    index = int(m.group(1))
+    if index >= order:
+        raise FormatError(f"{name}={index} out of range for finite {order}", lineno)
+    return index
+
+
 def _int_arg(tokens, lineno) -> int:
     """The one integer argument of a `<directive> <n>` line."""
     if len(tokens) != 2:
@@ -583,12 +600,11 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 tuple(values[i * order : (i + 1) * order]) for i in range(order)
             )
         elif key == "action":
-            if rank is None:
-                raise FormatError("rank must come before action", lineno)
-            m = re.fullmatch(r"f=(\d+)", tokens[1])
-            if not m:
-                raise FormatError("action needs f=<index>", lineno)
-            f = int(m.group(1))
+            if rank is None or order is None:
+                raise FormatError("rank and finite must come before action", lineno)
+            f = _part_index(tokens, 1, "f", order, lineno)
+            if f == 0:
+                raise FormatError("f=0 always acts as the identity", lineno)
             values = _int_tokens(tokens[2:], lineno, "action entries")
             if len(values) != rank * rank:
                 raise FormatError(
@@ -598,16 +614,14 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 tuple(values[i * rank : (i + 1) * rank]) for i in range(rank)
             )
         elif key == "cocycle":
-            if rank is None:
-                raise FormatError("rank must come before cocycle", lineno)
-            mf = re.fullmatch(r"f=(\d+)", tokens[1])
-            mg = re.fullmatch(r"g=(\d+)", tokens[2])
-            if not mf or not mg:
-                raise FormatError("cocycle needs f=<i> g=<j>", lineno)
+            if rank is None or order is None:
+                raise FormatError("rank and finite must come before cocycle", lineno)
+            f = _part_index(tokens, 1, "f", order, lineno)
+            g = _part_index(tokens, 2, "g", order, lineno)
             values = _int_tokens(tokens[3:], lineno, "cocycle entries")
             if len(values) != rank:
                 raise FormatError(f"cocycle needs {rank} entries", lineno)
-            cocycle[(int(mf.group(1)), int(mg.group(1)))] = tuple(values)
+            cocycle[(f, g)] = tuple(values)
         elif key == "gen":
             if rank is None or order is None:
                 raise FormatError("rank and finite must come before gen", lineno)
@@ -656,8 +670,7 @@ def _parse_const(token: str, rank: int, lineno: int) -> GroupElement:
     m = _CONST_RE.fullmatch(token)
     if not m:
         raise FormatError(f"bad constant token {token!r}", lineno)
-    body = m.group(1).strip()
-    vec = tuple(int(t) for t in body.split(",")) if body else ()
+    vec = _int_vector(m.group(1), lineno, "constant vector entries")
     if len(vec) != rank:
         raise FormatError(
             f"constant vector has length {len(vec)}, rank is {rank}", lineno
@@ -757,8 +770,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
                 m = _SHIFT_RE.fullmatch(token)
                 if not m:
                     raise FormatError(f"bad shift token {token!r}", lineno)
-                body = m.group(1).strip()
-                vec = tuple(int(t) for t in body.split(",")) if body else ()
+                vec = _int_vector(m.group(1), lineno, "shift vector entries")
                 if len(vec) != group.rank:
                     raise FormatError(
                         f"shift vector has length {len(vec)}, rank is {group.rank}",

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .periodic_graph import GammaEdge, PeriodicVertex, QuotientGraph, Vector
+from .periodic_graph import QuotientGraph, Vector
 
 EdgeChain = dict[int, int]
 
@@ -84,17 +84,6 @@ def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
     return min(rotations)
 
 
-def make_cycle(g: QuotientGraph, edges: tuple[int, ...]) -> Cycle:
-    """Validate the cycle conditions and canonicalize the rotation."""
-    orbits = walk_orbits(g, QWalk(tuple(edges)))
-    if orbits[0] != orbits[-1]:
-        raise ValueError("not closed")
-    targets = orbits[1:]
-    if len(set(targets)) != len(targets):
-        raise ValueError("visited vertices are not distinct")
-    return Cycle(_canonical_rotation(tuple(edges)))
-
-
 def enumerate_cycles(g: QuotientGraph, *, cap: int = 1_000_000) -> list[Cycle]:
     """All simple directed cycles of the quotient, deduplicated and sorted.
 
@@ -145,76 +134,3 @@ def mu(g: QuotientGraph, c: EdgeChain) -> Vector:
         for i in range(g.dim):
             total[i] += mult * shift[i]
     return tuple(total)
-
-
-@dataclass(frozen=True)
-class GammaWalk:
-    """A lifted walk in the infinite cover."""
-
-    start: PeriodicVertex
-    edges: tuple[GammaEdge, ...]
-    end: PeriodicVertex
-
-
-def lift_walk(g: QuotientGraph, q: QWalk, x0: PeriodicVertex) -> GammaWalk:
-    """The unique lift of q starting at x0."""
-    orbits = walk_orbits(g, q)
-    if orbits[0] != x0.orbit:
-        raise ValueError(
-            f"walk starts at orbit {orbits[0]}, lift base has orbit {x0.orbit}"
-        )
-    coord = x0.coord
-    lifted = []
-    for eid in q.edges:
-        e = g.edges[eid]
-        lifted.append(GammaEdge(eid, coord))
-        coord = tuple(a + b for a, b in zip(coord, e.shift))
-    end = PeriodicVertex(orbits[-1], coord)
-    return GammaWalk(x0, tuple(lifted), end)
-
-
-def is_walkable(g: QuotientGraph, q0: QWalk, cycles: list[Cycle]) -> bool:
-    """Whether the path and cycles assemble into one walk of the quotient.
-
-    Works greedily: attach any remaining cycle whose support meets the
-    accumulated support.  Greedy suffices because attachability only grows
-    with the accumulated support.
-    """
-    acc = support(g, q0)
-    remaining = list(cycles)
-    progress = True
-    while remaining and progress:
-        progress = False
-        for i, c in enumerate(remaining):
-            if support(g, c) & acc:
-                acc |= support(g, c)
-                remaining.pop(i)
-                progress = True
-                break
-    return not remaining
-
-
-def decompose_walk(g: QuotientGraph, q: QWalk) -> tuple[QWalk, list[Cycle]]:
-    """Split a walk into a path plus simple cycles.
-
-    Scans the walk and pops a cycle whenever the current endpoint revisits
-    an orbit still on the open path.  The result satisfies chain equality,
-    support equality and walkability with respect to q.
-    """
-    orbits = walk_orbits(g, q)
-    path_orbits = [orbits[0]]
-    path_edges: list[int] = []
-    cycles: list[Cycle] = []
-    for eid in q.edges:
-        dst = g.edges[eid].dst
-        if dst in path_orbits:
-            at = path_orbits.index(dst)
-            cycle_edges = tuple(path_edges[at:]) + (eid,)
-            cycles.append(Cycle(_canonical_rotation(cycle_edges)))
-            del path_edges[at:]
-            del path_orbits[at + 1 :]
-        else:
-            path_edges.append(eid)
-            path_orbits.append(dst)
-    q0 = QWalk(tuple(path_edges), base=path_orbits[0] if not path_edges else None)
-    return q0, cycles

@@ -132,6 +132,19 @@ def pair_set_cover(g, x0, radius: int, blocks, max_witnesses) -> dict:
     }
 
 
+def lift_endpoint(g, edges, x0) -> tuple:
+    """(orbit, coord) at the end of the lift from x0 of a quotient walk.
+
+    `edges` lists edge-orbit ids; each must start where the walk stands.
+    """
+    orbit, coord = x0.orbit, x0.coord
+    for eid in edges:
+        e = g.edges[eid]
+        assert e.src == orbit, f"edge {eid} does not start at orbit {orbit}"
+        orbit, coord = e.dst, tuple(a + b for a, b in zip(coord, e.shift))
+    return orbit, coord
+
+
 def brute_force_cycles(g, max_length: int) -> set[tuple[int, ...]]:
     """All cycles as least-rotation edge tuples, by exhaustive sequences."""
     found = set()

@@ -313,6 +313,14 @@ def test_vag_relative_grades_coupling_by_ball_weight(capsys, tmp_path):
          "margin must be nonnegative"),
         (["vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
           "--upto", "10", "--margin", "-1"], "margin must be nonnegative"),
+        (["vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
+          "--upto", "4,x"], "bad box '4,x'"),
+        (["vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
+          "--upto", ""], "bad box ''"),
+        (["pg", "growth", data_path("square.pg"), "--upto", "-1"],
+         "radius must be nonnegative"),
+        (["pg", "decompose", data_path("square.pg"), "--upto", "-1"],
+         "radius must be nonnegative"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
@@ -320,6 +328,55 @@ def test_bad_arguments_exit_2(capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""
+
+
+DINF_HEAD = "rank 1\nfinite 2\nmult 0 1 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        pytest.param("g.vag", DINF_HEAD + "action\n",
+                     "line 4: action needs f=<index>", id="bare-action"),
+        pytest.param("g.vag", DINF_HEAD + "action f=1 -1\ncocycle f=1\n",
+                     "line 5: cocycle needs g=<index>", id="cocycle-without-g"),
+        pytest.param("g.vag", DINF_HEAD + "action f=1 -1\naction f=2 1\n",
+                     "line 5: f=2 out of range for finite 2", id="action-index"),
+        pytest.param("g.vag", DINF_HEAD + "action f=1 -1\ncocycle f=1 g=2 0\n",
+                     "line 5: g=2 out of range for finite 2", id="cocycle-index"),
+        pytest.param("g.vag", "rank 1\naction f=1 -1\nfinite 2\n",
+                     "line 2: rank and finite must come before action",
+                     id="action-before-finite"),
+        pytest.param("s.set", "arity 1\npiece\nshift (-;0)\n",
+                     "line 3: shift vector entries must be integers", id="shift-entry"),
+        pytest.param("e.eqn", "vars 1\nword X1 [-;0]\n",
+                     "line 2: constant vector entries must be integers",
+                     id="constant-entry"),
+    ],
+)
+def test_malformed_file_exits_2_with_line(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    vag = str(path) if name == "g.vag" else data_path("dinf.vag")
+    argv = {
+        "g.vag": ["vag", "growth", vag, "--upto", "3"],
+        "s.set": ["vag", "relative", vag, str(path), "--upto", "3"],
+        "e.eqn": ["vag", "solve", vag, str(path), "--box", "2"],
+    }[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(ball, "growth_sequence", broken)
+    code, out, err = run_cli(
+        capsys, "pg", "growth", data_path("square.pg"), "--upto", "3"
+    )
+    assert (code, out, err) == (2, "", "internal error: broken invariant\n")
 
 
 def test_vag_argumentless_rank_exits_2(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,7 @@ from perigrowth.decomposition import (
     all_support_sets,
     build_MS,
     build_XS_generators,
-    hilbert_counts,
-    intersect_graded_modules,
-    intersect_graded_monoids,
     module_elements_upto,
-    monoid_elements_upto,
     verify_cover,
     verify_module_action,
 )
@@ -24,6 +22,7 @@ from perigrowth.periodic_graph import (
     parse_periodic_graph,
 )
 
+from conftest import SEED
 from oracles import monoid_elements_by_exponents, pair_set_cover
 
 V = PeriodicVertex
@@ -140,148 +139,28 @@ def test_all_support_sets(honeycomb):
 
 
 def test_monoid_elements_match_exponent_oracle(z_pm):
+    # one module generator at degree 0 on the base vertex: the module is the
+    # monoid itself, translated onto orbit 0
     m = build_MS(z_pm, frozenset({0}))
     for degree in (4, 7):
-        assert monoid_elements_upto(m, degree) == monoid_elements_by_exponents(
+        elements = module_elements_upto(m, [(0, V(0, (0,)))], degree)
+        assert {(d, y.coord) for d, y in elements} == monoid_elements_by_exponents(
             list(m.generators), degree
         )
 
 
-def test_intersect_monoids_multiples():
-    a = GradedMonoid(1, ((1, (1,)),))
-    b = GradedMonoid(1, ((2, (2,)),))
-    cert = intersect_graded_monoids([a, b], 6)
-    assert cert.generators == ((2, (2,)),)
-    assert cert.verified_degree_bound == 6
-    assert not cert.complete
+def test_intersect_monoids_rejects_degree_zero_drift(z_pm, monkeypatch):
+    # a degree-0 generator that moves the vertex makes every graded piece
+    # infinite, so the least-degree search must refuse it
+    real = decomposition._monoid
 
+    def drifting(rank, S, cycle_data):
+        m = real(rank, S, cycle_data)
+        return GradedMonoid(rank, m.generators + ((0, (1,)),))
 
-def test_intersect_monoids_with_degree_step():
-    a = GradedMonoid(1, ((1, (1,)), (1, (-1,)), (1, (0,))))
-    b = GradedMonoid(1, ((1, (1,)), (1, (0,))))
-    cert = intersect_graded_monoids([a, b], 5)
-    assert set(cert.generators) == {(1, (0,)), (1, (1,))}
-
-
-def test_intersect_monoids_idempotent(z_pm, honeycomb):
-    for g, S in ((z_pm, frozenset({0})), (honeycomb, frozenset({0, 1}))):
-        m = build_MS(g, S)
-        cert = intersect_graded_monoids([m, m], 8)
-        regenerated = monoid_elements_upto(
-            GradedMonoid(m.rank, cert.generators), 8
-        )
-        assert regenerated == monoid_elements_upto(m, 8)
-
-
-def test_intersect_monoids_completeness_flag():
-    a = GradedMonoid(1, ((1, (1,)),))
-    assert intersect_graded_monoids([a, a], 6, completeness_bound=3).complete
-    assert not intersect_graded_monoids([a, a], 5, completeness_bound=3).complete
-
-
-def test_intersect_monoids_rejects_degree_zero_drift():
-    bad = GradedMonoid(1, ((0, (1,)),))
-    with pytest.raises(ValueError):
-        intersect_graded_monoids([bad, bad], 3)
-
-
-def test_intersect_monoids_soundness_and_completeness_brute(z_pm):
-    a = build_MS(z_pm, frozenset({0}))
-    b = GradedMonoid(1, ((1, (0,)), (2, (2,)), (3, (-3,))))
-    degree = 7
-    cert = intersect_graded_monoids([a, b], degree)
-    ea = monoid_elements_by_exponents(list(a.generators), degree)
-    eb = monoid_elements_by_exponents(list(b.generators), degree)
-    common = ea & eb
-    for gen in cert.generators:
-        assert gen in common
-    regenerated = monoid_elements_by_exponents(list(cert.generators), degree)
-    assert regenerated == common
-
-
-def test_intersect_modules_idempotent(z_pm):
-    base = V(0, (0,))
-    S = frozenset({0})
-    monoid = build_MS(z_pm, S)
-    gens = list(build_XS_generators(z_pm, base, S).generators)
-    cert = intersect_graded_modules([(monoid, gens), (monoid, gens)], 8)
-    regenerated = module_elements_upto(monoid, cert.generators, 8)
-    assert regenerated == module_elements_upto(monoid, gens, 8)
-
-
-def test_intersect_modules_even_sublattice(z_pm):
-    base = V(0, (0,))
-    S = frozenset({0})
-    walks = (build_MS(z_pm, S), list(build_XS_generators(z_pm, base, S).generators))
-    even = (
-        GradedMonoid(1, ((1, (0,)), (2, (2,)), (2, (-2,)))),
-        [(0, V(0, (0,)))],
-    )
-    degree = 8
-    cert = intersect_graded_modules([walks, even], degree)
-    expected = {
-        (i, V(0, (2 * k,)))
-        for i in range(degree + 1)
-        for k in range(-(i // 2), i // 2 + 1)
-    }
-    assert module_elements_upto(walks[0], walks[1], degree) & module_elements_upto(
-        even[0], even[1], degree
-    ) == expected
-    # one generator suffices: every even point is a monoid translate of the base
-    assert cert.generators == ((0, V(0, (0,))),)
-    common_monoid = intersect_graded_monoids([walks[0], even[0]], degree)
-    regenerated = module_elements_upto(
-        GradedMonoid(1, common_monoid.generators), cert.generators, degree
-    )
-    assert regenerated == expected
-
-
-def test_intersect_modules_empty():
-    a = (GradedMonoid(1, ((1, (1,)),)), [(0, V(0, (0,)))])
-    b = (GradedMonoid(1, ((1, (1,)),)), [(0, V(1, (0,)))])
-    cert = intersect_graded_modules([a, b], 5)
-    assert cert.generators == ()
-
-
-def test_hilbert_counts_single_ray():
-    table = hilbert_counts(
-        [((1,), ((1,),))],
-        [((0,), (V(0, (0,)),))],
-        (6,),
-    )
-    assert table.values == {(a,): 1 for a in range(7)}
-
-
-def test_hilbert_counts_two_rays():
-    table = hilbert_counts(
-        [((1,), ((1,),)), ((1,), ((-1,),))],
-        [((0,), (V(0, (0,)),))],
-        (6,),
-    )
-    # degree a reaches a+1 distinct points -a, -a+2, ..., a
-    assert table.values == {(a,): a + 1 for a in range(7)}
-
-
-def test_hilbert_counts_tensor_structure():
-    univariate = hilbert_counts(
-        [((1,), ((1,),))],
-        [((0,), (V(0, (0,)),))],
-        (4,),
-    )
-    split = hilbert_counts(
-        [
-            ((1, 0), ((1,), (0,))),
-            ((0, 1), ((0,), (1,))),
-        ],
-        [((0, 0), (V(0, (0,)), V(0, (0,))))],
-        (4, 4),
-    )
-    for a1 in range(5):
-        for a2 in range(5):
-            assert (
-                split.values.get((a1, a2), 0)
-                == univariate.values.get((a1,), 0) * univariate.values.get((a2,), 0)
-            )
+    monkeypatch.setattr(decomposition, "_monoid", drifting)
+    with pytest.raises(ValueError, match="degree-0"):
+        verify_cover(z_pm, V(0, (0,)), 3)
 
 
 def test_generators_split_off_above_degree_bound(z_pm):
@@ -292,13 +171,12 @@ def test_generators_split_off_above_degree_bound(z_pm):
     gens = build_XS_generators(z_pm, base, S, exhaustive=True)
     radius = 12
     elements = module_elements_upto(monoid, gens.generators, radius)
-    monoid_elems = monoid_elements_upto(monoid, radius)
+    monoid_elems = monoid_elements_by_exponents(list(monoid.generators), radius)
     for i, y in elements:
         if i <= gens.degree_bound:
             continue
         assert any(
-            (i - gi, tuple(a - b for a, b in zip(y.coord, gv.coord))) in
-            {(mi, mv) for mi, mv in monoid_elems}
+            (i - gi, tuple(a - b for a, b in zip(y.coord, gv.coord))) in monoid_elems
             for gi, gv in gens.generators
             if gi <= i and gv.orbit == y.orbit
         )
@@ -349,6 +227,32 @@ def test_cover_by_least_degrees_matches_pair_sets(case):
     )
     assert report.ok
     assert_matches_pair_sets(report, g, x0, radius, max_witnesses)
+
+
+def test_cover_holds_far_above_the_degree_bound():
+    # the pieces are generated below W * n^2; check the cover at a radius
+    # three times that, where a missing generator could no longer hide
+    rng = random.Random(SEED)
+    for case in range(8):
+        dim, n = rng.randint(1, 2), rng.randint(1, 3)
+        edges = [
+            (
+                rng.randrange(n),
+                rng.randrange(n),
+                tuple(rng.randint(-1, 1) for _ in range(dim)),
+                rng.randint(1, 2),
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        if case % 2:  # inverse-closed: every edge has its reverse
+            edges += [(dst, src, tuple(-c for c in s), w) for src, dst, s, w in edges]
+        g = QuotientGraph(
+            dim,
+            tuple(f"o{i}" for i in range(n)),
+            tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+        )
+        radius = 3 * g.max_weight() * n**2 + 4
+        assert verify_cover(g, g.vertex(rng.randrange(n)), radius).ok, (g, radius)
 
 
 def test_cover_missing_pairs_match_pair_sets(honeycomb, monkeypatch):

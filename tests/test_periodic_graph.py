@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from perigrowth.ball import distances_upto
 from perigrowth.errors import FormatError
 from perigrowth.periodic_graph import (
     EdgeOrbit,
     PeriodicVertex,
     QuotientGraph,
-    out_neighbors,
     parse_periodic_graph,
     serialize_periodic_graph,
     translate,
@@ -80,25 +80,27 @@ def test_validate_flags_dimension_mismatch():
     assert any("dimension mismatch" in entry for entry in report)
 
 
+def _out_neighbors(g, x):
+    """Vertices one step out of x, as the ball search finds them."""
+    return {v: d for v, d in distances_upto(g, x, 1).entries.items() if v != x}
+
+
 def test_out_neighbors_square(square):
-    x = PeriodicVertex(0, (0, 0))
-    nbrs = out_neighbors(square, x)
-    assert len(nbrs) == 4
-    coords = [v.coord for _, v, _ in nbrs]
-    assert coords == [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert all(w == 1 for _, _, w in nbrs)
+    nbrs = _out_neighbors(square, PeriodicVertex(0, (0, 0)))
+    assert sorted(v.coord for v in nbrs) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert all(d == 1 for d in nbrs.values())
 
 
 def test_out_neighbors_one_way(z_oneway):
-    (edge, v, w), = out_neighbors(z_oneway, PeriodicVertex(0, (3,)))
-    assert v == PeriodicVertex(0, (4,))
-    assert w == 1
+    assert _out_neighbors(z_oneway, PeriodicVertex(0, (3,))) == {
+        PeriodicVertex(0, (4,)): 1
+    }
 
 
 def test_out_neighbors_honeycomb(honeycomb):
-    nbrs = out_neighbors(honeycomb, PeriodicVertex(0, (0, 0)))
+    nbrs = _out_neighbors(honeycomb, PeriodicVertex(0, (0, 0)))
     assert len(nbrs) == 3
-    assert all(v.orbit == 1 for _, v, _ in nbrs)
+    assert all(v.orbit == 1 for v in nbrs)
 
 
 def test_translate_examples():
@@ -129,12 +131,9 @@ def test_out_neighbors_equivariance(square, honeycomb):
             orbit = rng.randrange(g.num_orbits)
             x = PeriodicVertex(orbit, tuple(rng.randint(-5, 5) for _ in range(g.dim)))
             u = tuple(rng.randint(-5, 5) for _ in range(g.dim))
-            direct = out_neighbors(g, translate(x, u))
-            moved = [
-                (e.edge_orbit, translate(v, u), w)
-                for e, v, w in out_neighbors(g, x)
-            ]
-            assert [(e.edge_orbit, v, w) for e, v, w in direct] == moved
+            direct = _out_neighbors(g, translate(x, u))
+            moved = {translate(v, u): d for v, d in _out_neighbors(g, x).items()}
+            assert direct == moved
 
 
 def test_parse_serialize_round_trip(square, honeycomb, z_pm, z_oneway):

@@ -14,7 +14,6 @@ from perigrowth.series import (
     RationalSeries,
     canonicalize,
     default_denominator,
-    evaluate_series,
     expand_mv_series,
     expand_series,
     fit_multivariate,
@@ -113,9 +112,9 @@ def test_fit_margin_boundary(margin):
 
 def test_evaluate_examples():
     square_series = RationalSeries((1, 2, 1), ((1, 2),), 50)
-    assert evaluate_series(square_series, 7) == 28
+    assert expand_series(square_series, 7)[7] == 28
     ones = RationalSeries((1,), ((1, 1),), 10)
-    assert evaluate_series(ones, 0) == 1
+    assert expand_series(ones, 0)[0] == 1
 
 
 def test_evaluate_matches_fit_terms(z_pm):
@@ -222,8 +221,8 @@ def test_quasi_polynomial_matches_series_everywhere(honeycomb):
     terms = growth_sequence(honeycomb, honeycomb.vertex(0), 40).terms
     fit = canonicalize(fit_univariate(terms, default_denominator(honeycomb)))
     qp = quasi_polynomial(fit)
-    for i in range(fit.verified_through + 1):
-        assert qp_evaluate(qp, i) == evaluate_series(fit, i)
+    for i, term in enumerate(expand_series(fit, fit.verified_through)):
+        assert qp_evaluate(qp, i) == term
 
 
 def _diagonal_table(z_pm, box):

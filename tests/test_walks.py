@@ -1,24 +1,20 @@
-import itertools
 import random
 
 import pytest
 
-from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph, translate
+from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.walks import (
+    Cycle,
     QWalk,
     chain_of_walk,
-    decompose_walk,
     enumerate_cycles,
-    is_walkable,
-    lift_walk,
-    make_cycle,
     mu,
     support,
     walk_orbits,
 )
 
 from conftest import SEED
-from oracles import brute_force_cycles
+from oracles import brute_force_cycles, lift_endpoint
 
 # three orbits with parallel edges and a loop, for permutation-heavy cases
 TRIANGLE_TEXT = """
@@ -88,13 +84,12 @@ def test_mu_single_loop(square):
 
 
 def test_mu_two_cycle_matches_lift(honeycomb):
-    cycle = make_cycle(honeycomb, (1, 3))  # a->b shift (1,0), b->a shift (0,0)
+    cycle = Cycle((1, 3))  # a->b shift (1,0), b->a shift (0,0)
     displacement = mu(honeycomb, chain_of_walk(cycle))
     start = PeriodicVertex(honeycomb.edges[cycle.edges[0]].src, (0, 0))
-    lifted = lift_walk(honeycomb, QWalk(cycle.edges), start)
-    assert displacement == tuple(
-        e - s for e, s in zip(lifted.end.coord, lifted.start.coord)
-    )
+    orbit, end = lift_endpoint(honeycomb, cycle.edges, start)
+    assert orbit == start.orbit
+    assert displacement == tuple(e - s for e, s in zip(end, start.coord))
     assert displacement == (1, 0)
 
 
@@ -110,10 +105,8 @@ def test_mu_equals_lift_displacement_for_all_cycles(square, honeycomb, z_pm, tri
             x0 = PeriodicVertex(
                 start_orbit, tuple(rng.randint(-4, 4) for _ in range(g.dim))
             )
-            lifted = lift_walk(g, QWalk(cycle.edges), x0)
-            displacement = tuple(
-                e - s for e, s in zip(lifted.end.coord, lifted.start.coord)
-            )
+            _, end = lift_endpoint(g, cycle.edges, x0)
+            displacement = tuple(e - s for e, s in zip(end, x0.coord))
             assert displacement == mu(g, chain_of_walk(cycle))
 
 
@@ -126,125 +119,7 @@ def test_support():
     g = parse_periodic_graph(TRIANGLE_TEXT)
     assert support(g, QWalk((), base=1)) == {1}
     assert support(g, QWalk((0, 4))) == {0, 1}
-    assert support(g, make_cycle(g, (5,))) == {2}
-
-
-def test_lift_walk_one_step(z_pm):
-    lifted = lift_walk(z_pm, QWalk((0,)), PeriodicVertex(0, (0,)))
-    assert lifted.end == PeriodicVertex(0, (1,))
-
-
-def test_lift_walk_orbit_mismatch(honeycomb):
-    with pytest.raises(ValueError):
-        lift_walk(honeycomb, QWalk((0,)), PeriodicVertex(1, (0, 0)))
-
-
-def test_lift_walk_endpoint_is_shift_sum(square, honeycomb, triangle):
-    rng = random.Random(SEED)
-    for g in (square, honeycomb, triangle):
-        for _ in range(100):
-            p = _random_walk(g, rng, 12)
-            if not p.edges:
-                continue
-            x0 = PeriodicVertex(
-                walk_orbits(g, p)[0], tuple(rng.randint(-3, 3) for _ in range(g.dim))
-            )
-            lifted = lift_walk(g, p, x0)
-            shift_sum = tuple(
-                sum(g.edges[eid].shift[i] for eid in p.edges) for i in range(g.dim)
-            )
-            expected = translate(x0, shift_sum)
-            assert lifted.end.coord == expected.coord
-            assert lifted.end.orbit == walk_orbits(g, p)[-1]
-
-
-def test_is_walkable_shared_support(square):
-    loop = make_cycle(square, (0,))
-    assert is_walkable(square, QWalk((), base=0), [loop])
-
-
-def test_is_walkable_disconnected_cycle(triangle):
-    isolated = make_cycle(triangle, (5,))  # loop at c
-    assert not is_walkable(triangle, QWalk((), base=0), [isolated])
-
-
-def test_is_walkable_requires_ordering(triangle):
-    # the loop at c only attaches after the triangle cycle brings c in
-    tri = make_cycle(triangle, (0, 2, 3))
-    loop = make_cycle(triangle, (5,))
-    assert is_walkable(triangle, QWalk((), base=0), [loop, tri])
-
-
-def test_is_walkable_matches_exhaustive_permutations(triangle, honeycomb):
-    rng = random.Random(SEED)
-    for g in (triangle, honeycomb):
-        pool = enumerate_cycles(g)
-        orbits = range(g.num_orbits)
-        for _ in range(60):
-            cycles = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-            base = rng.choice(list(orbits))
-            q0 = QWalk((), base=base)
-            greedy = is_walkable(g, q0, cycles)
-            exhaustive = any(
-                _chain_condition(g, q0, perm)
-                for perm in itertools.permutations(cycles)
-            )
-            assert greedy == exhaustive
-
-
-def _chain_condition(g, q0, cycles):
-    acc = support(g, q0)
-    for c in cycles:
-        if not (support(g, c) & acc):
-            return False
-        acc |= support(g, c)
-    return True
-
-
-def test_decompose_path_is_identity(triangle):
-    p = QWalk((0, 2))
-    q0, cycles = decompose_walk(triangle, p)
-    assert q0 == p
-    assert cycles == []
-
-
-def test_decompose_closed_walk_single_cycle(honeycomb):
-    cycle = make_cycle(honeycomb, (0, 3))
-    q0, cycles = decompose_walk(honeycomb, QWalk(cycle.edges))
-    assert len(q0) == 0
-    assert cycles == [cycle]
-
-
-def test_decompose_square_walk_postconditions(square):
-    _assert_decomposition(square, QWalk((0, 0, 1)))  # +x, +x, -x
-
-
-def test_decompose_random_corpora(square, honeycomb, z_pm, triangle):
-    rng = random.Random(SEED)
-    for g in (square, honeycomb, z_pm, triangle):
-        for _ in range(120):
-            walk = _random_walk(g, rng, 30)
-            _assert_decomposition(g, walk)
-
-
-def _assert_decomposition(g, walk):
-    q0, cycles = decompose_walk(g, walk)
-    # q0 is a path
-    orbits = walk_orbits(g, q0)
-    assert len(set(orbits)) == len(orbits)
-    # chain equality
-    total = dict(chain_of_walk(q0))
-    for c in cycles:
-        for k, v in chain_of_walk(c).items():
-            total[k] = total.get(k, 0) + v
-    assert total == chain_of_walk(walk)
-    # support equality
-    merged = support(g, q0)
-    for c in cycles:
-        merged |= support(g, c)
-    assert merged == support(g, walk)
-    # walkability
-    assert is_walkable(g, q0, cycles)
+    assert support(g, Cycle((5,))) == {2}
 
 
 def _random_walk(g, rng, max_length):
