@@ -6,32 +6,43 @@ counts) is a reindexing of one distance map.  Unreachable vertices are
 simply absent, matching the convention that an infinite distance
 contributes nothing to any series.
 
-The search itself runs on packed integers, one per cover vertex, in a
-mixed-radix layout fixed by the graph and the radius R:
+Every search over the cover, here and in the decomposition, runs on packed
+integers, one per cover vertex, in a mixed-radix layout (`VertexCodec`)
+fixed by the graph, the radius R and any lattice moves the search takes
+besides the edges:
 
     key = orbit + sum_i (coord_i - base_i + R * S_i) * stride_i
 
-where S_i = max |shift_i| over all edge orbits, stride_0 is the number of
-orbits and stride_{i+1} = stride_i * (2 * R * S_i + 1).  An edge orbit is
-then a precomputed integer delta (dst - src plus its shift dotted with the
-strides), and following an edge is one integer addition.
+where stride_0 is the number of orbits and stride_{i+1} = stride_i *
+(2 * R * S_i + 1).  S_i is the largest of max |shift_i| over all edge
+orbits and ceil(|vec_i| / g) over every move (g, vec) of degree g >= 1.
+An edge orbit or a move is then a precomputed integer delta (dst - src plus
+its shift dotted with the strides), and following it is one integer
+addition.
 
 No-carry invariant: every edge weighs at least 1, so a walk of weight at
 most R has at most R edges and moves coordinate i by at most R * S_i from
-the base.  Each digit therefore stays in [0, 2 * R * S_i], never carries
-into its neighbour, and the encoding is exact.  Keys are decoded to
-`PeriodicVertex` only where results leave this module.
+the base.  A module element of degree at most R is the end of such a walk
+plus moves of total degree at most R, and each move of degree g shifts
+axis i by at most g * S_i, so it too stays within R * S_i of the base.
+Each digit therefore stays in [0, 2 * R * S_i], never carries into its
+neighbour, and the encoding is exact.  A degree-0 move has no per-degree
+bound: it widens axis i by |vec_i| once, enough for one application, which
+is all the decomposition's action check makes (its searches refuse such
+moves).  Keys are decoded to `PeriodicVertex` only where results leave the
+searches.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from operator import mul
+from typing import Iterable, NamedTuple
 
 from ._dial import dial_distances
 from .errors import CoverageError, InputError
-from .periodic_graph import PeriodicVertex, QuotientGraph, validate
+from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, validate
 
 DEFAULT_BALL_CAP = 10_000_000
 
@@ -76,10 +87,45 @@ class RelativeCountTable:
     counts_cumulative: dict[tuple[int, ...], int]
 
 
-def _packed_distances(
-    g: QuotientGraph, x0: PeriodicVertex, radius: int, cap: int
-) -> tuple[dict[int, int], Callable[[int], PeriodicVertex]]:
-    """Dial search over packed keys: (key -> distance, key decoder)."""
+class VertexCodec(NamedTuple):
+    """The mixed-radix layout of the cover vertices a search from `base` reaches."""
+
+    base: PeriodicVertex
+    radius: int
+    orbits: int
+    offsets: tuple[int, ...]
+    spans: tuple[int, ...]
+    strides: tuple[int, ...]
+
+    def delta(self, vec: Vector) -> int:
+        """The packed delta of the lattice move vec."""
+        return sum(map(mul, vec, self.strides))
+
+    def encode(self, v: PeriodicVertex) -> int:
+        return v.orbit + sum(
+            (c - b + o) * t
+            for c, b, o, t in zip(v.coord, self.base.coord, self.offsets, self.strides)
+        )
+
+    def decode(self, key: int) -> PeriodicVertex:
+        coord = tuple(
+            key // t % span - o + b
+            for t, span, o, b in zip(self.strides, self.spans, self.offsets, self.base.coord)
+        )
+        return PeriodicVertex(key % self.orbits, coord)
+
+
+def vertex_codec(
+    g: QuotientGraph,
+    x0: PeriodicVertex,
+    radius: int,
+    moves: Iterable[tuple[int, Vector]] = (),
+) -> VertexCodec:
+    """The layout for searches of weight or degree <= radius from x0.
+
+    `moves` lists the (degree, vector) lattice moves the searches take
+    besides the edges; see the module docstring for the bound they enter.
+    """
     if radius < 0:
         raise InputError("radius must be nonnegative")
     report = validate(g)
@@ -87,43 +133,50 @@ def _packed_distances(
         raise ValueError("; ".join(report))
     if not 0 <= x0.orbit < g.num_orbits or len(x0.coord) != g.dim:
         raise ValueError(f"base {x0} is not a vertex of the cover")
-    n = g.num_orbits
+    moves = set(moves)
+    if any(len(vec) != g.dim for _, vec in moves):
+        raise ValueError(f"a move's vector length does not match dimension {g.dim}")
     offsets, spans, strides = [], [], []
-    stride = n
+    stride = g.num_orbits
     for axis in range(g.dim):
-        reach = radius * max((abs(e.shift[axis]) for e in g.edges), default=0)
+        per_degree = max((abs(e.shift[axis]) for e in g.edges), default=0)
+        once = 0
+        for deg, vec in moves:
+            if deg:
+                per_degree = max(per_degree, -(-abs(vec[axis]) // deg))
+            else:
+                once = max(once, abs(vec[axis]))
+        reach = radius * per_degree + once
         offsets.append(reach)
         spans.append(2 * reach + 1)
         strides.append(stride)
         stride *= spans[-1]
+    return VertexCodec(
+        x0, radius, g.num_orbits, tuple(offsets), tuple(spans), tuple(strides)
+    )
+
+
+def packed_distances(
+    g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_BALL_CAP
+) -> dict[int, int]:
+    """Dial search over packed keys: key -> distance <= codec.radius."""
+    n = codec.orbits
     steps = [
-        [
-            (e.dst - e.src + sum(s * t for s, t in zip(e.shift, strides)), e.weight)
-            for e in g.out_edges(orbit)
-        ]
+        [(e.dst - e.src + codec.delta(e.shift), e.weight) for e in g.out_edges(orbit)]
         for orbit in range(n)
     ]
-    start = x0.orbit + sum(o * t for o, t in zip(offsets, strides))
 
     def successors(key: int):
         return [(key + delta, w) for delta, w in steps[key % n]]
 
-    def decode(key: int) -> PeriodicVertex:
-        coord = tuple(
-            key // t % span - o + b
-            for t, span, o, b in zip(strides, spans, offsets, x0.coord)
-        )
-        return PeriodicVertex(key % n, coord)
-
-    dist = dial_distances(
-        [(start, 0)],
+    return dial_distances(
+        [(codec.encode(codec.base), 0)],
         successors,
-        radius,
+        codec.radius,
         g.max_weight(),
         cap=cap,
         cap_what="ball size",
     )
-    return dist, decode
 
 
 def distances_upto(
@@ -134,8 +187,9 @@ def distances_upto(
     cap: int = DEFAULT_BALL_CAP,
 ) -> DistanceMap:
     """Exact distances from x0 to every vertex within the given radius."""
-    dist, decode = _packed_distances(g, x0, radius, cap)
-    return DistanceMap(x0, radius, {decode(k): d for k, d in dist.items()})
+    codec = vertex_codec(g, x0, radius)
+    dist = packed_distances(g, codec, cap=cap)
+    return DistanceMap(x0, radius, {codec.decode(k): d for k, d in dist.items()})
 
 
 def growth_sequence(
@@ -146,7 +200,7 @@ def growth_sequence(
     cap: int = DEFAULT_BALL_CAP,
 ) -> GrowthSequence:
     """Number of vertices at each exact distance 0..radius."""
-    dist, _ = _packed_distances(g, x0, radius, cap)
+    dist = packed_distances(g, vertex_codec(g, x0, radius), cap=cap)
     terms = [0] * (radius + 1)
     for d in dist.values():
         terms[d] += 1

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from ._dial import dial_distances, reachable
-from .ball import distances_upto
+from .ball import VertexCodec, packed_distances, vertex_codec
 from .errors import GuardError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
@@ -104,35 +104,50 @@ def build_MS(
 
 
 def support_distances(
-    g: QuotientGraph,
-    x0: PeriodicVertex,
-    budget: int,
-    *,
-    cap: int = DEFAULT_SATURATION_CAP,
-) -> dict[tuple[PeriodicVertex, SupportSet], int]:
-    """Minimal walk weight to each (endpoint, exact quotient support) pair.
+    g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_SATURATION_CAP
+) -> dict[int, int]:
+    """Minimal walk weight <= codec.radius to each (endpoint, exact support).
 
-    The length-0 walk at x0 has support {orbit of x0}, so that state sits
-    at distance 0.
+    A state is one int, key << n | mask: the endpoint's packed key and the
+    bitmask of the n quotient orbits the walk visits.  The length-0 walk at
+    the base has support {orbit of the base}, so that state sits at
+    distance 0.
     """
+    n = codec.orbits
+    steps = [
+        [
+            ((e.dst - e.src + codec.delta(e.shift)) << n, 1 << e.dst, e.weight)
+            for e in g.out_edges(orbit)
+        ]
+        for orbit in range(n)
+    ]
 
-    def successors(state):
-        v, sup = state
-        for eo in g.out_edges(v.orbit):
-            dst = PeriodicVertex(
-                eo.dst, tuple(a + b for a, b in zip(v.coord, eo.shift))
-            )
-            yield (dst, sup | {eo.dst}), eo.weight
+    def successors(state: int):
+        return [((state + delta) | bit, w) for delta, bit, w in steps[(state >> n) % n]]
 
-    start = (x0, frozenset((x0.orbit,)))
+    start = codec.encode(codec.base) << n | 1 << codec.base.orbit
     return dial_distances(
         [(start, 0)],
         successors,
-        budget,
+        codec.radius,
         g.max_weight(),
         cap=cap,
         cap_what="support-graded ball",
     )
+
+
+def _support_groups(
+    g: QuotientGraph, codec: VertexCodec, cap: int
+) -> dict[SupportSet, list[tuple[int, int]]]:
+    """The `support_distances` states grouped by support: S -> [(key, weight)]."""
+    n = codec.orbits
+    by_mask: dict[int, list[tuple[int, int]]] = {}
+    for state, d in support_distances(g, codec, cap=cap).items():
+        by_mask.setdefault(state & (1 << n) - 1, []).append((state >> n, d))
+    return {
+        frozenset(i for i in range(n) if mask >> i & 1): group
+        for mask, group in by_mask.items()
+    }
 
 
 def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
@@ -141,11 +156,12 @@ def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
 
 
 def _module_gens(
-    sdist, S: SupportSet, bound: int, exhaustive: bool
+    codec: VertexCodec, group, S: SupportSet, bound: int, exhaustive: bool
 ) -> GradedModuleGens:
     gens = []
-    for (v, sup), d in sdist.items():
-        if sup == S and d <= bound:
+    for key, d in group:
+        if d <= bound:
+            v = codec.decode(key)
             if exhaustive:
                 gens.extend((i, v) for i in range(d, bound + 1))
             else:
@@ -171,8 +187,9 @@ def build_XS_generators(
     bound = module_degree_bound(g, S)
     if budget is not None:
         bound = min(bound, budget)
-    sdist = support_distances(g, x0, bound, cap=cap)
-    return _module_gens(sdist, S, bound, exhaustive)
+    codec = vertex_codec(g, x0, bound)
+    group = _support_groups(g, codec, cap).get(S, [])
+    return _module_gens(codec, group, S, bound, exhaustive)
 
 
 def _check_degree_zero(generators, zero_payload) -> None:
@@ -206,46 +223,60 @@ def module_elements_upto(
     return reachable(starts, successors, cap=cap, cap_what="module saturation")
 
 
-def _action(sdist, S: SupportSet, monoid: GradedMonoid, radius: int) -> ActionReport:
-    min_weight = sorted((v, d) for (v, sup), d in sdist.items() if sup == S)
-    reached = dict(min_weight)
+def _action(
+    codec: VertexCodec, group, S: SupportSet, monoid: GradedMonoid, radius: int
+) -> ActionReport:
+    """Check that every generator maps each least-weight element into the module.
+
+    `group` lists the packed (key, least weight) of the S-supported walk
+    ends.  Each generator steps every key by its packed delta; only the
+    failing elements of the first failing generator are decoded, and the
+    witness is the least (vertex, degree) among them.  A zero-vector
+    generator only raises the degree at the same vertex and cannot fail.
+    """
+    reached = dict(group)
+    zero = monoid.zero()[1]
     for gd, gvec in sorted(monoid.generators):
-        for y, d in min_weight:
-            # (d, y) is the lowest-degree module element at y; acting on it
-            # gives the strongest membership requirement
-            nd = d + gd
-            if nd > radius:
-                continue
-            image = translate(y, gvec)
-            di = reached.get(image)
-            if di is None or di > nd:
-                return ActionReport(False, S, ((gd, gvec), (d, y), (nd, image)))
+        if gvec == zero:
+            continue
+        delta = codec.delta(gvec)
+        # (d, key) is the lowest-degree module element at key; acting on it
+        # gives the strongest membership requirement
+        failing = [
+            key
+            for key, d in group
+            if d + gd <= radius and reached.get(key + delta, radius + 1) > d + gd
+        ]
+        if failing:
+            y, key = min((codec.decode(key), key) for key in failing)
+            d = reached[key]
+            image = codec.decode(key + delta)
+            return ActionReport(False, S, ((gd, gvec), (d, y), (d + gd, image)))
     return ActionReport(True, S, None)
 
 
 def _min_degrees(
-    monoid: GradedMonoid, module_gens, radius: int, cap: int
-) -> dict[PeriodicVertex, int]:
-    """Least degree <= radius at which each vertex lies in the module.
+    codec: VertexCodec, monoid: GradedMonoid, starts, cap: int
+) -> dict[int, int]:
+    """Least degree <= codec.radius at which each packed vertex lies in the module.
 
-    One multi-source search: every module generator (d, y) is a source at
+    One multi-source search: every module generator (key, d) is a source at
     its own degree d, and every monoid generator that moves the vertex is a
-    step weighted by its degree.  Generators with a zero vector, the degree
-    step (1, 0) among them, only raise the degree at the same vertex, so
-    they never lower a least degree and are skipped.
+    step by its packed delta, weighted by its degree.  Generators with a
+    zero vector, the degree step (1, 0) among them, only raise the degree
+    at the same vertex, so they never lower a least degree and are skipped.
     """
     zero = monoid.zero()[1]
-    _check_degree_zero(monoid.generators, zero)
-    steps = [(gd, gvec) for gd, gvec in monoid.generators if gvec != zero]
+    steps = [(codec.delta(gvec), gd) for gd, gvec in monoid.generators if gvec != zero]
 
-    def successors(y):
-        return [(translate(y, gvec), gd) for gd, gvec in steps]
+    def successors(key: int):
+        return [(key + delta, gd) for delta, gd in steps]
 
     return dial_distances(
-        [(y, d) for d, y in module_gens],
+        starts,
         successors,
-        radius,
-        max((gd for gd, _ in steps), default=0),
+        codec.radius,
+        max((gd for _, gd in steps), default=0),
         cap=cap,
         cap_what="module saturation",
     )
@@ -256,16 +287,20 @@ def _pair_count(low: dict, radius: int) -> int:
     return sum(radius - d + 1 for d in low.values())
 
 
-def _witnesses(low: dict, high: dict, radius: int, k: int) -> tuple:
+def _witnesses(codec: VertexCodec, low: dict, high: dict, radius: int, k: int) -> tuple:
     """The k least pairs (i, y) with low[y] <= i <= radius and i < high[y].
 
-    A vertex missing from `high` bounds nothing.  Each vertex yields at most
-    its k lowest pairs, which is enough for the k least overall.
+    `low` and `high` map packed keys to least degrees, and a key missing
+    from `high` bounds nothing.  Each key yields at most its k lowest
+    pairs, which is enough for the k least overall; only keys that yield a
+    pair are decoded.
     """
     pairs = []
-    for y, lo in low.items():
-        hi = min(high.get(y, radius + 1), lo + k)
-        pairs.extend((i, y) for i in range(lo, hi))
+    for key, lo in low.items():
+        hi = min(high.get(key, radius + 1), lo + k)
+        if lo < hi:
+            y = codec.decode(key)
+            pairs.extend((i, y) for i in range(lo, hi))
     return tuple(sorted(pairs)[:k])
 
 
@@ -298,38 +333,48 @@ def verify_cover(
 
     Cycles are enumerated once, the ball and the support-graded search run
     once, at the radius, and m_S takes one multi-source search per S.
-    `cap` bounds the vertices of each search: the ball, the support-graded
-    states and the vertices reached per subset (not the pairs).  The
-    report also carries, per S, the monoid, the module generators (as
-    `build_MS` and `build_XS_generators` with `budget=radius` give them)
-    and the `verify_module_action` report.
+    Every search runs on the packed keys of one `ball.VertexCodec`, sized
+    by the edges and every monoid generator (after the degree-0 check), so
+    all of them stay exact.  Keys are decoded to `PeriodicVertex` only for
+    the module generators, the `missing` and `extra` witnesses and the
+    action witnesses.  `cap` bounds the vertices of each search: the ball,
+    the support-graded states and the vertices reached per subset (not the
+    pairs).  The report also carries, per S, the monoid, the module
+    generators (as `build_MS` and `build_XS_generators` with
+    `budget=radius` give them) and the `verify_module_action` report.
     """
     if g.num_orbits > orbit_guard:
         raise GuardError(
             f"{g.num_orbits} orbits exceed the subset guard of {orbit_guard}"
         )
-    target = distances_upto(g, x0, radius, cap=cap).entries
-    sdist = support_distances(g, x0, radius, cap=cap)
     cycle_data = _cycle_data(g, cycle_cap)
-    union: dict[PeriodicVertex, int] = {}
+    monoids = {S: _monoid(g.dim, S, cycle_data) for S in all_support_sets(g)}
+    for monoid in monoids.values():
+        _check_degree_zero(monoid.generators, monoid.zero()[1])
+    moves = {gen for monoid in monoids.values() for gen in monoid.generators}
+    codec = vertex_codec(g, x0, radius, moves)
+    target = packed_distances(g, codec, cap=cap)
+    groups = _support_groups(g, codec, cap)
+    union: dict[int, int] = {}
     sizes: dict[SupportSet, int] = {}
     blocks = []
-    for S in all_support_sets(g):
-        monoid = _monoid(g.dim, S, cycle_data)
+    for S, monoid in monoids.items():
+        group = groups.get(S, [])
         bound = min(module_degree_bound(g, S), radius)
-        gens = _module_gens(sdist, S, bound, exhaustive)
-        piece = _min_degrees(monoid, gens.generators, radius, cap)
+        gens = _module_gens(codec, group, S, bound, exhaustive)
+        starts = [(key, d) for key, d in group if d <= bound]
+        piece = _min_degrees(codec, monoid, starts, cap)
         sizes[S] = _pair_count(piece, radius)
-        for y, d in piece.items():
-            if union.get(y, d + 1) > d:
-                union[y] = d
-        blocks.append((S, monoid, gens, _action(sdist, S, monoid, radius)))
+        for key, d in piece.items():
+            if union.get(key, d + 1) > d:
+                union[key] = d
+        blocks.append((S, monoid, gens, _action(codec, group, S, monoid, radius)))
     return CoverReport(
         ok=union == target,
         radius=radius,
         covered=_pair_count(target, radius),
-        missing=_witnesses(target, union, radius, max_witnesses),
-        extra=_witnesses(union, target, radius, max_witnesses),
+        missing=_witnesses(codec, target, union, radius, max_witnesses),
+        extra=_witnesses(codec, union, target, radius, max_witnesses),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )
@@ -351,4 +396,6 @@ def verify_module_action(
     """
     if monoid is None:
         monoid = build_MS(g, S)
-    return _action(support_distances(g, x0, radius, cap=cap), S, monoid, radius)
+    codec = vertex_codec(g, x0, radius, monoid.generators)
+    group = _support_groups(g, codec, cap).get(S, [])
+    return _action(codec, group, S, monoid, radius)

@@ -582,8 +582,13 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
     action: dict[int, Matrix] = {}
     cocycle: dict[tuple[int, int], Vector] = {}
     gens: list[WeightedGenerator] = []
+    seen: set[str] = set()
     for lineno, tokens in _tokenize(text):
         key = tokens[0]
+        if key in ("rank", "finite", "mult"):
+            if key in seen:
+                raise FormatError(f"duplicate {key} directive", lineno)
+            seen.add(key)
         if key == "rank":
             rank = _int_arg(tokens, lineno)
         elif key == "finite":
@@ -605,6 +610,8 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
             f = _part_index(tokens, 1, "f", order, lineno)
             if f == 0:
                 raise FormatError("f=0 always acts as the identity", lineno)
+            if f in action:
+                raise FormatError(f"duplicate action for f={f}", lineno)
             values = _int_tokens(tokens[2:], lineno, "action entries")
             if len(values) != rank * rank:
                 raise FormatError(
@@ -618,6 +625,8 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 raise FormatError("rank and finite must come before cocycle", lineno)
             f = _part_index(tokens, 1, "f", order, lineno)
             g = _part_index(tokens, 2, "g", order, lineno)
+            if (f, g) in cocycle:
+                raise FormatError(f"duplicate cocycle for f={f} g={g}", lineno)
             values = _int_tokens(tokens[3:], lineno, "cocycle entries")
             if len(values) != rank:
                 raise FormatError(f"cocycle needs {rank} entries", lineno)

@@ -5,7 +5,8 @@ explicitly materialized patches, exhaustive enumeration.  None of it calls
 the code paths under test (group word enumeration uses only `multiply`);
 the pair-set cover materializes every graded pair through
 `module_elements_upto` and `graded_growth_slice`, which the least-degree
-cover check does not use.
+cover check does not use, and the reference action check steps
+`PeriodicVertex` values by `translate`, where the library steps packed keys.
 """
 
 import heapq
@@ -15,7 +16,8 @@ from fractions import Fraction
 from itertools import product
 
 from perigrowth.ball import graded_growth_slice
-from perigrowth.decomposition import module_elements_upto
+from perigrowth.decomposition import ActionReport, module_elements_upto
+from perigrowth.periodic_graph import PeriodicVertex, translate
 from perigrowth.vab import multiply
 
 
@@ -130,6 +132,51 @@ def pair_set_cover(g, x0, radius: int, blocks, max_witnesses) -> dict:
         "extra": tuple(sorted(union - target))[:max_witnesses],
         "module_sizes": sizes,
     }
+
+
+def support_state_distances(g, x0, radius: int) -> dict:
+    """Least walk weight <= radius per (endpoint, exact orbit support).
+
+    Keys are (PeriodicVertex, frozenset of orbits); the length-0 walk at x0
+    has support {orbit of x0}.  Searched by `heap_distances` over explicit
+    (orbit, coord, sorted support) tuples.
+    """
+
+    def successors(node):
+        orbit, coord, sup = node
+        for e in g.edges:
+            if e.src == orbit:
+                step = tuple(a + b for a, b in zip(coord, e.shift))
+                yield (e.dst, step, tuple(sorted(set(sup) | {e.dst}))), e.weight
+
+    start = (x0.orbit, x0.coord, (x0.orbit,))
+    dist = heap_distances([(start, 0)], successors, radius)
+    return {
+        (PeriodicVertex(orbit, coord), frozenset(sup)): d
+        for (orbit, coord, sup), d in dist.items()
+    }
+
+
+def reference_action(sdist, S, monoid, radius: int) -> ActionReport:
+    """The module-action check on `PeriodicVertex` values, one `translate` each.
+
+    `sdist` maps (vertex, support) to least walk weight.  Every monoid
+    generator, in sorted order, acts on the least-weight element (d, y) of
+    every S-supported vertex y, in vertex order; the first image of degree
+    <= radius that no S-supported walk reaches by that degree is the witness.
+    """
+    min_weight = sorted((v, d) for (v, sup), d in sdist.items() if sup == S)
+    reached = dict(min_weight)
+    for gd, gvec in sorted(monoid.generators):
+        for y, d in min_weight:
+            nd = d + gd
+            if nd > radius:
+                continue
+            image = translate(y, gvec)
+            di = reached.get(image)
+            if di is None or di > nd:
+                return ActionReport(False, S, ((gd, gvec), (d, y), (nd, image)))
+    return ActionReport(True, S, None)
 
 
 def lift_endpoint(g, edges, x0) -> tuple:

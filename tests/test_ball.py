@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from perigrowth.ball import (
     graded_growth_slice,
     growth_sequence,
     relative_counts,
+    vertex_codec,
 )
 from perigrowth.errors import CoverageError, ResourceLimitError
 from perigrowth.periodic_graph import (
@@ -117,6 +119,33 @@ def test_ball_matches_heap_dijkstra(case):
     for d in expected.values():
         terms[d] += 1
     assert list(growth_sequence(g, x0, radius).terms) == terms
+
+
+@pytest.mark.parametrize(
+    "moves, reach",
+    [
+        pytest.param((), (3, 3), id="edges"),
+        # ceil(5/3) = 2 per degree on the first axis, the edges' 1 on the second
+        pytest.param({(3, (-5, 2))}, (6, 3), id="slow-move"),
+        pytest.param({(1, (7, 7)), (1, (-5, 2))}, (21, 21), id="fast-moves"),
+        # a degree-0 move widens the layout once, by its own length
+        pytest.param({(0, (4, -1))}, (7, 4), id="degree-0"),
+    ],
+)
+def test_codec_round_trips_at_the_radius_edge(honeycomb, moves, reach):
+    # every corner base +- reach of the radius-3 box, on every orbit, around
+    # a base with negative coordinates
+    base = PeriodicVertex(1, (-4, -7))
+    codec = vertex_codec(honeycomb, base, 3, moves)
+    keys = set()
+    for orbit in range(honeycomb.num_orbits):
+        for signs in itertools.product((-1, 0, 1), repeat=2):
+            coord = tuple(b + s * r for b, s, r in zip(base.coord, signs, reach))
+            v = PeriodicVertex(orbit, coord)
+            key = codec.encode(v)
+            assert codec.decode(key) == v
+            keys.add(key)
+    assert len(keys) == 2 * 9
 
 
 def test_edgeless_growth():

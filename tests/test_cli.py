@@ -233,11 +233,13 @@ def counting(calls, name, fn):
 
 
 def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
-    # one ball and no graded pair sets: the cover compares least degrees
+    # one packed ball and no graded pair sets: the cover compares least
+    # degrees on packed keys, so the decoding `distances_upto` never runs
     calls = []
     names = (
         "enumerate_cycles",
         "support_distances",
+        "packed_distances",
         "distances_upto",
         "graded_growth_slice",
         "module_elements_upto",
@@ -251,7 +253,7 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
         capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
     )
     assert code == 0
-    assert sorted(calls) == ["distances_upto", "enumerate_cycles", "support_distances"]
+    assert sorted(calls) == ["enumerate_cycles", "packed_distances", "support_distances"]
 
 
 def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch):
@@ -368,6 +370,34 @@ def test_malformed_file_exits_2_with_line(capsys, tmp_path, name, text, message)
     assert err.startswith(f"error: {message}")
 
 
+DINF_GENS = "gen a 1 0 1\ngen b 0 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(DINF_HEAD + "action f=1 -1\naction f=1 1\n" + DINF_GENS,
+                     "line 5: duplicate action for f=1", id="action"),
+        pytest.param(DINF_HEAD + "action f=1 -1\ncocycle f=1 g=1 1\ncocycle f=1 g=1 0\n"
+                     + DINF_GENS, "line 6: duplicate cocycle for f=1 g=1", id="cocycle"),
+        pytest.param("rank 1\nrank 1\nfinite 2\nmult 0 1 1 0\naction f=1 -1\n" + DINF_GENS,
+                     "line 2: duplicate rank directive", id="rank"),
+        pytest.param("rank 1\nfinite 2\nfinite 2\nmult 0 1 1 0\naction f=1 -1\n" + DINF_GENS,
+                     "line 3: duplicate finite directive", id="finite"),
+        pytest.param(DINF_HEAD + "mult 0 1 1 0\naction f=1 -1\n" + DINF_GENS,
+                     "line 4: duplicate mult directive", id="mult"),
+    ],
+)
+def test_repeated_vag_directive_exits_2(capsys, tmp_path, text, message):
+    # a repeated directive used to override the earlier one silently: the
+    # action case ran `vag growth --upto 4` to 1,2,2,2,2 with exit 0
+    path = tmp_path / "g.vag"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "vag", "growth", str(path), "--upto", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("broken invariant")
@@ -477,6 +507,12 @@ def test_cli_decompose_three_orbits_matches_golden(capsys, tmp_path):
     path.write_text(PLANE3)
     argv = ["pg", "decompose", str(path), "--upto", "8"]
     check_golden(capsys, argv, "plane3_decompose")
+
+
+def test_cli_decompose_shifted_base_matches_golden(capsys):
+    # a base off the origin and off orbit 0: the packed layout's offset path
+    argv = ["pg", "decompose", data_path("honeycomb.pg"), "--base", "b:2,-1", "--upto", "12"]
+    check_golden(capsys, argv, "honeycomb_shifted_decompose")
 
 
 def test_cli_relative_diagonal_in_dinf_matches_golden(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigrowth import decomposition
+from perigrowth.ball import VertexCodec
 from perigrowth.decomposition import (
     GradedMonoid,
     all_support_sets,
@@ -23,7 +24,12 @@ from perigrowth.periodic_graph import (
 )
 
 from conftest import SEED
-from oracles import monoid_elements_by_exponents, pair_set_cover
+from oracles import (
+    monoid_elements_by_exponents,
+    pair_set_cover,
+    reference_action,
+    support_state_distances,
+)
 
 V = PeriodicVertex
 
@@ -106,6 +112,23 @@ def test_verify_cover_honeycomb(honeycomb):
     assert verify_cover(honeycomb, honeycomb.vertex(0), 12).ok
 
 
+def test_cover_decodes_only_the_module_generators(honeycomb, monkeypatch):
+    # every search steps packed keys: no translate, and on a passing cover
+    # one decode per returned module generator
+    decoded = []
+    real = VertexCodec.decode
+
+    def counting(codec, key):
+        decoded.append(key)
+        return real(codec, key)
+
+    monkeypatch.setattr(VertexCodec, "decode", counting)
+    monkeypatch.setattr(decomposition, "translate", None)
+    report = verify_cover(honeycomb, V(1, (2, -1)), 20)
+    assert report.ok
+    assert len(decoded) == sum(len(gens.generators) for _, _, gens, _ in report.blocks)
+
+
 def test_verify_cover_orbit_guard():
     names = [f"v{i}" for i in range(13)]
     text = "dim 1\n" + "\n".join(f"vertex {n}" for n in names)
@@ -127,6 +150,13 @@ def test_verify_module_action_catches_corruption(z_pm):
     assert not report.ok
     gen, element, image = report.witness
     assert gen == (1, (5,))
+
+
+def test_verify_module_action_rejects_a_monoid_of_another_rank(honeycomb):
+    # a packed delta of a short vector would silently drop an axis
+    monoid = GradedMonoid(1, ((1, (0,)), (1, (2,))))
+    with pytest.raises(ValueError, match="dimension 2"):
+        verify_module_action(honeycomb, V(0, (0, 0)), frozenset({0, 1}), 4, monoid=monoid)
 
 
 def test_all_support_sets(honeycomb):
@@ -268,18 +298,53 @@ def test_cover_missing_pairs_match_pair_sets(honeycomb, monkeypatch):
 
 
 def test_cover_extra_pairs_match_pair_sets(honeycomb, monkeypatch):
-    # a bogus monoid generator reaches vertices before their distance
+    # a bogus monoid generator reaches vertices before their distance; the
+    # last two move farther per degree than any edge, so the packed layout
+    # must be sized by the monoid, not by the edges alone
+    real = decomposition._monoid
+    x0 = honeycomb.vertex(0)
+    for generator, radius in [((1, (3, 0)), 6), ((1, (7, 7)), 3), ((1, (-5, 2)), 3)]:
+
+        def bogus(rank, S, cycle_data, generator=generator):
+            m = real(rank, S, cycle_data)
+            return GradedMonoid(rank, m.generators + (generator,))
+
+        monkeypatch.setattr(decomposition, "_monoid", bogus)
+        report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
+        assert not report.ok
+        assert len(report.extra) == 3 and not report.missing
+        assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
+        every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
+        assert len(every["extra"]) > 3
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    plane_covers(),
+    st.tuples(st.integers(1, 3), st.tuples(*[st.integers(-7, 7)] * 2)),
+)
+def test_packed_action_matches_reference(case, generator):
+    # one bogus generator added to every monoid: the packed action check
+    # returns the reference report, the witness included
+    g, x0, radius, exhaustive, _ = case
     real = decomposition._monoid
 
     def bogus(rank, S, cycle_data):
-        m = real(rank, S, cycle_data)
-        return GradedMonoid(rank, m.generators + ((1, (3, 0)),))
+        return GradedMonoid(rank, real(rank, S, cycle_data).generators + (generator,))
 
-    monkeypatch.setattr(decomposition, "_monoid", bogus)
-    x0, radius = honeycomb.vertex(0), 6
-    report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
-    assert not report.ok
-    assert len(report.extra) == 3 and not report.missing
-    assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
-    every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
-    assert len(every["extra"]) > 3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "_monoid", bogus)
+        report = verify_cover(g, x0, radius, exhaustive=exhaustive)
+    sdist = support_state_distances(g, x0, radius)
+    for S, monoid, _, action in report.blocks:
+        assert action == reference_action(sdist, S, monoid, radius)
+
+
+def test_module_action_with_degree_zero_generator_matches_reference(honeycomb):
+    # a degree-0 move is applied once, at the element's own degree
+    x0, radius = V(1, (2, -1)), 5
+    sdist = support_state_distances(honeycomb, x0, radius)
+    for S in all_support_sets(honeycomb):
+        monoid = GradedMonoid(2, build_MS(honeycomb, S).generators + ((0, (4, -3)),))
+        report = verify_module_action(honeycomb, x0, S, radius, monoid=monoid)
+        assert report == reference_action(sdist, S, monoid, radius)
