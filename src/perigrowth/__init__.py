@@ -79,7 +79,6 @@ from .vab import (
 )
 from .walks import (
     Cycle,
-    QWalk,
     chain_of_walk,
     enumerate_cycles,
     mu,

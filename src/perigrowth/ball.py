@@ -35,7 +35,6 @@ searches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, NamedTuple
@@ -43,6 +42,7 @@ from typing import Iterable, NamedTuple
 from ._dial import dial_distances
 from .errors import CoverageError, InputError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, validate
+from .series import MultivariateRationalSeries, expand_mv_series
 
 DEFAULT_BALL_CAP = 10_000_000
 
@@ -256,13 +256,11 @@ def relative_counts(
         key = tuple(degs)
         if all(a <= b for a, b in zip(key, box)):
             exact[key] = exact.get(key, 0) + 1
-    # cumulative counts via d-dimensional prefix sums, one axis at a time
-    cumulative: dict[tuple[int, ...], int] = {}
-    for a in itertools.product(*(range(b + 1) for b in box)):
-        cumulative[a] = exact.get(a, 0)
-    for axis in range(arity):
-        for a in itertools.product(*(range(b + 1) for b in box)):
-            if a[axis] > 0:
-                prev = a[:axis] + (a[axis] - 1,) + a[axis + 1 :]
-                cumulative[a] += cumulative[prev]
+    # cumulative counts B = S / prod_i (1 - z_i), S the exact counts
+    units = tuple(
+        (tuple(int(i == j) for j in range(arity)), 1) for i in range(arity)
+    )
+    cumulative = expand_mv_series(
+        MultivariateRationalSeries(arity, exact, units, tuple(box)), box
+    )
     return RelativeCountTable(arity, tuple(box), exact, cumulative)

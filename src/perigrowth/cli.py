@@ -229,7 +229,7 @@ def cmd_vag_relative(args) -> int:
     radius = max(max(box), vab.coupling_radius(graph, mmset))
     dm = ball.distances_upto(graph, base, radius, cap=args.max_ball)
     tuples = vab.enumerate_monoid_module_set(dm, mmset, box, cap=args.max_ball)
-    table = vab.relative_growth_terms(graph, dm, tuples, box)
+    table = vab.relative_growth_terms(dm, tuples, box)
     factors = vab.default_set_denominator(graph, dm, mmset, cycle_cap=args.max_cycles)
     margins = tuple(args.margin for _ in box)
     fit = series.fit_multivariate_auto(

@@ -16,14 +16,13 @@ import itertools
 from dataclasses import dataclass
 
 from ._dial import dial_distances, reachable
-from .ball import VertexCodec, packed_distances, vertex_codec
+from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
 from .errors import GuardError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
 
 SupportSet = frozenset[int]
 
-DEFAULT_SATURATION_CAP = 5_000_000
 DEFAULT_ORBIT_GUARD = 12
 
 
@@ -104,7 +103,7 @@ def build_MS(
 
 
 def support_distances(
-    g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_SATURATION_CAP
+    g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_BALL_CAP
 ) -> dict[int, int]:
     """Minimal walk weight <= codec.radius to each (endpoint, exact support).
 
@@ -175,8 +174,7 @@ def build_XS_generators(
     S: SupportSet,
     *,
     exhaustive: bool = False,
-    budget: int | None = None,
-    cap: int = DEFAULT_SATURATION_CAP,
+    cap: int = DEFAULT_BALL_CAP,
 ) -> GradedModuleGens:
     """Generators of the module of S-supported reachability pairs.
 
@@ -185,8 +183,6 @@ def build_XS_generators(
     at the degree bound, which generates the same module.
     """
     bound = module_degree_bound(g, S)
-    if budget is not None:
-        bound = min(bound, budget)
     codec = vertex_codec(g, x0, bound)
     group = _support_groups(g, codec, cap).get(S, [])
     return _module_gens(codec, group, S, bound, exhaustive)
@@ -194,8 +190,7 @@ def build_XS_generators(
 
 def _check_degree_zero(generators, zero_payload) -> None:
     for deg, payload in generators:
-        degree = sum(deg) if isinstance(deg, tuple) else deg
-        if degree == 0 and payload != zero_payload:
+        if deg == 0 and payload != zero_payload:
             raise ValueError(
                 "degree-0 generator with nonzero payload makes graded pieces infinite"
             )
@@ -206,7 +201,7 @@ def module_elements_upto(
     module_gens,
     degree: int,
     *,
-    cap: int = DEFAULT_SATURATION_CAP,
+    cap: int = DEFAULT_BALL_CAP,
 ) -> set[tuple[int, PeriodicVertex]]:
     """All elements generator + monoid of degree <= degree."""
     _check_degree_zero(monoid.generators, monoid.zero()[1])
@@ -311,7 +306,7 @@ def verify_cover(
     *,
     exhaustive: bool = False,
     orbit_guard: int = DEFAULT_ORBIT_GUARD,
-    cap: int = DEFAULT_SATURATION_CAP,
+    cap: int = DEFAULT_BALL_CAP,
     cycle_cap: int = 1_000_000,
     max_witnesses: int = 10,
 ) -> CoverReport:
@@ -340,8 +335,8 @@ def verify_cover(
     action witnesses.  `cap` bounds the vertices of each search: the ball,
     the support-graded states and the vertices reached per subset (not the
     pairs).  The report also carries, per S, the monoid, the module
-    generators (as `build_MS` and `build_XS_generators` with
-    `budget=radius` give them) and the `verify_module_action` report.
+    generators (as `build_MS` and `build_XS_generators` give them, with the
+    degree bound cut to the radius) and the `verify_module_action` report.
     """
     if g.num_orbits > orbit_guard:
         raise GuardError(
@@ -387,7 +382,7 @@ def verify_module_action(
     radius: int,
     *,
     monoid: GradedMonoid | None = None,
-    cap: int = DEFAULT_SATURATION_CAP,
+    cap: int = DEFAULT_BALL_CAP,
 ) -> ActionReport:
     """Check the monoid action maps the truncated module into itself.
 

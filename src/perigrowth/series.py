@@ -162,7 +162,6 @@ def fit_univariate(
     terms,
     factors,
     *,
-    numerator_degree: int | None = None,
     margin: int = DEFAULT_MARGIN,
 ) -> RationalSeries:
     """Fit numerator / prod(1 - t^w)^e against exact terms.
@@ -171,9 +170,8 @@ def fit_univariate(
     at the last term, so it reproduces every term by construction.  What
     certifies the fit is that the ansatz is fixed before the terms are read:
     it succeeds only when the product vanishes at `margin` or more indices
-    above the numerator degree, that is, when at least `margin` terms lie
-    beyond it.  The degree is the detected one, or `numerator_degree` when
-    given.
+    above its detected degree, that is, when at least `margin` terms lie
+    beyond it.
     """
     if margin < 0:
         raise InputError("margin must be nonnegative")
@@ -185,18 +183,7 @@ def fit_univariate(
             _times(numerator, w)
     numerator = poly_trim(numerator)
     detected = len(numerator) - 1
-    if numerator_degree is not None:
-        if through < numerator_degree + margin:
-            raise InputError(
-                f"insufficient terms: need {numerator_degree + margin + 1},"
-                f" got {through + 1}"
-            )
-        if detected > numerator_degree:
-            raise NoFitError(
-                f"no fit at this ansatz: numerator support reaches degree {detected},"
-                f" requested bound {numerator_degree}"
-            )
-    elif through < detected + margin:
+    if through < detected + margin:
         raise NoFitError(
             f"no fit at this ansatz: numerator support reaches degree {detected},"
             f" leaving margin {through - detected} < {margin}"
@@ -431,15 +418,14 @@ def fit_multivariate(
     box,
     factors,
     *,
-    numerator_box=None,
     margins=None,
 ) -> MultivariateRationalSeries:
     """Fit a sparse numerator over the given factor ansatz against a table.
 
     The table must be total over the box (missing keys count as zero, which
-    is how empty sets are passed).  The fit succeeds when the numerator
-    support stays inside `numerator_box` (auto-detected when omitted) with
-    the per-axis verification margin left over at the table box boundary.
+    is how empty sets are passed).  The fit succeeds when, on every axis,
+    the detected numerator support stays at least that axis's verification
+    margin below the table box boundary.
     """
     box = tuple(box)
     arity = len(box)
@@ -458,17 +444,6 @@ def fit_multivariate(
     for a in num:
         for i, x in enumerate(a):
             support[i] = max(support[i], x)
-    if numerator_box is not None:
-        for i in range(arity):
-            if box[i] < numerator_box[i] + margins[i]:
-                raise InputError(
-                    f"insufficient table: axis {i} needs box {numerator_box[i] + margins[i]}"
-                )
-            if support[i] > numerator_box[i]:
-                raise NoFitError(
-                    f"no fit at this ansatz: axis {i} numerator support {support[i]}"
-                    f" exceeds the requested bound {numerator_box[i]}"
-                )
     for i in range(arity):
         if support[i] + margins[i] > box[i]:
             raise NoFitError(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from ._dial import reachable
 from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, relative_counts
 from .errors import (
-    CoverageError,
     DisjointnessError,
     FormatError,
     GuardError,
@@ -300,7 +299,7 @@ def solve_box(
     for tup in itertools.product(coords, repeat=arity):
         if all(evaluate_word(group, w, tup) == identity for w in words):
             solutions.append(tup)
-    solutions.sort(key=lambda tup: tuple((el.vec, el.part) for el in tup))
+    solutions.sort()
     return solutions
 
 
@@ -412,54 +411,25 @@ def enumerate_monoid_module_set(
                     f"pieces {i} and {j} overlap at {sorted(overlap)[0]}"
                 )
     union = set().union(*seen_by_piece) if seen_by_piece else set()
-    return sorted(union, key=lambda tup: tuple((el.vec, el.part) for el in tup))
-
-
-def quotient_reachable_orbits(graph: QuotientGraph, start: int) -> set[int]:
-    """Orbits reachable from the start orbit in the quotient graph."""
-    return reachable(
-        [start],
-        lambda orbit: (eo.dst for eo in graph.out_edges(orbit)),
-        cap=graph.num_orbits,
-        cap_what="quotient orbits",
-    )
+    return sorted(union)
 
 
 def relative_growth_terms(
-    graph: QuotientGraph,
     dm: DistanceMap,
     tuples: list[tuple[GroupElement, ...]],
     box: tuple[int, ...],
 ) -> RelativeCountTable:
     """Count tuples by per-coordinate word weight over the box.
 
-    `dm` is the ball of the Cayley graph `graph` from the identity, of
-    radius at least max(box).  Coordinates that are certifiably not
-    representable (their coset is unreachable in the quotient) are dropped,
-    matching the convention that an infinite weight contributes nothing.  A
-    coordinate whose coset is reachable but which lies outside the ball is
-    rejected: it may have finite weight beyond the box, and only the
-    producer can rule that in or out.
+    `dm` is the Cayley ball from the identity, of radius at least max(box).
+    Every coordinate must lie in the ball, as those of
+    `enumerate_monoid_module_set` do; `ball.relative_counts` raises
+    `CoverageError` for one outside it, which may have finite weight beyond
+    the box that only the producer can rule in or out.
     """
-    dm.check_radius(max(box, default=0))
-    reachable = quotient_reachable_orbits(graph, dm.base.orbit)
-    kept = []
-    for tup in tuples:
-        drop = False
-        for el in tup:
-            v = element_vertex(el)
-            if v in dm:
-                continue
-            if el.part not in reachable:
-                drop = True
-                break
-            raise CoverageError(
-                f"coordinate {el} is outside the radius-{dm.radius} ball but its "
-                "coset is reachable; enlarge the box or pre-truncate the set"
-            )
-        if not drop:
-            kept.append(tuple(element_vertex(el) for el in tup))
-    return relative_counts(dm, kept, box)
+    return relative_counts(
+        dm, [tuple(element_vertex(el) for el in tup) for tup in tuples], box
+    )
 
 
 def univariate_terms(
@@ -693,6 +663,8 @@ def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[EquationWord]]:
     words: list[EquationWord] = []
     for lineno, tokens in _tokenize(text):
         if tokens[0] == "vars":
+            if arity is not None:
+                raise FormatError("duplicate vars directive", lineno)
             arity = _int_arg(tokens, lineno)
             if arity < 1:
                 raise FormatError("vars must be positive", lineno)
@@ -730,7 +702,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
     current_shift: tuple[GroupElement, ...] | None = None
     current_line = None
 
-    def close(lineno):
+    def close():
         nonlocal current_gens, current_shift
         if current_gens is None:
             return
@@ -743,13 +715,15 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
     for lineno, tokens in _tokenize(text):
         key = tokens[0]
         if key == "arity":
+            if arity is not None:
+                raise FormatError("duplicate arity directive", lineno)
             arity = _int_arg(tokens, lineno)
             if arity < 1:
                 raise FormatError("arity must be positive", lineno)
         elif key == "piece":
             if arity is None:
                 raise FormatError("arity must come before piece", lineno)
-            close(lineno)
+            close()
             current_gens = []
             current_line = lineno
         elif key == "ugen":
@@ -792,7 +766,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
             current_shift = tuple(parts)
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
-    close(None)
+    close()
     if arity is None:
         raise FormatError("missing arity directive")
     return MonoidModuleSet(arity, tuple(pieces))

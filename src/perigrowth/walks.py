@@ -6,7 +6,9 @@ edge-id rotation, which is safe because every quantity we derive from a
 cycle (weight, net lattice displacement) is rotation invariant.
 
 The key map is `mu`: it sends the 1-chain of a closed walk in the quotient
-to the net lattice translation picked up by any lift of that walk.
+to the net lattice translation picked up by any lift of that walk.  The
+other helpers (`support`, `walk_weight`, `chain_of_walk`) read a `Cycle`,
+the only walk the commands build.
 """
 
 from __future__ import annotations
@@ -20,25 +22,6 @@ from .periodic_graph import QuotientGraph, Vector
 EdgeChain = dict[int, int]
 
 
-@dataclass(frozen=True)
-class QWalk:
-    """A walk in the quotient graph, as a sequence of edge-orbit ids.
-
-    A length-0 walk carries its base orbit explicitly; by convention its
-    support is the singleton of that orbit.
-    """
-
-    edges: tuple[int, ...]
-    base: int | None = None
-
-    def __post_init__(self):
-        if not self.edges and self.base is None:
-            raise ValueError("length-0 walk needs a base orbit")
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 @dataclass(frozen=True, order=True)
 class Cycle:
     """A simple directed cycle, stored in its least edge-id rotation."""
@@ -49,13 +32,10 @@ class Cycle:
         return len(self.edges)
 
 
-def walk_orbits(g: QuotientGraph, p: QWalk | Cycle) -> list[int]:
+def walk_orbits(g: QuotientGraph, c: Cycle) -> list[int]:
     """Visited orbit sequence s(e1), t(e1), ..., t(el); validates composability."""
-    edges = p.edges
-    if not edges:
-        return [p.base]
-    orbits = [g.edges[edges[0]].src]
-    for eid in edges:
+    orbits = [g.edges[c.edges[0]].src]
+    for eid in c.edges:
         e = g.edges[eid]
         if e.src != orbits[-1]:
             raise ValueError(
@@ -65,18 +45,18 @@ def walk_orbits(g: QuotientGraph, p: QWalk | Cycle) -> list[int]:
     return orbits
 
 
-def walk_weight(g: QuotientGraph, p: QWalk | Cycle) -> int:
-    return sum(g.edges[eid].weight for eid in p.edges)
+def walk_weight(g: QuotientGraph, c: Cycle) -> int:
+    return sum(g.edges[eid].weight for eid in c.edges)
 
 
-def support(g: QuotientGraph, p: QWalk | Cycle) -> frozenset[int]:
-    """Set of orbits touched by the walk; {base} for a length-0 walk."""
-    return frozenset(walk_orbits(g, p))
+def support(g: QuotientGraph, c: Cycle) -> frozenset[int]:
+    """Set of orbits the cycle touches."""
+    return frozenset(walk_orbits(g, c))
 
 
-def chain_of_walk(p: QWalk | Cycle) -> EdgeChain:
-    """Edge multiplicities of the walk as a 1-chain."""
-    return dict(Counter(p.edges))
+def chain_of_walk(c: Cycle) -> EdgeChain:
+    """Edge multiplicities of the cycle as a 1-chain."""
+    return dict(Counter(c.edges))
 
 
 def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:

@@ -354,6 +354,10 @@ DINF_HEAD = "rank 1\nfinite 2\nmult 0 1 1 0\n"
         pytest.param("e.eqn", "vars 1\nword X1 [-;0]\n",
                      "line 2: constant vector entries must be integers",
                      id="constant-entry"),
+        pytest.param("s.set", "arity 1\npiece\nugen 2\nshift (0;0)\narity 2\n",
+                     "line 5: duplicate arity directive", id="duplicate-arity"),
+        pytest.param("e.eqn", "vars 1\nword X1 X1\nvars 2\n",
+                     "line 3: duplicate vars directive", id="duplicate-vars"),
     ],
 )
 def test_malformed_file_exits_2_with_line(capsys, tmp_path, name, text, message):

@@ -5,12 +5,10 @@ import pytest
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.walks import (
     Cycle,
-    QWalk,
     chain_of_walk,
     enumerate_cycles,
     mu,
     support,
-    walk_orbits,
 )
 
 from conftest import SEED
@@ -60,23 +58,12 @@ def test_cycles_match_brute_force(square, honeycomb, z_pm, triangle):
         assert got == expected
 
 
-def test_chain_of_walk():
-    assert chain_of_walk(QWalk((), base=0)) == {}
-    assert chain_of_walk(QWalk((0, 1, 0))) == {0: 2, 1: 1}
-
-
-def test_chain_concatenation_additivity(square):
-    rng = random.Random(SEED)
-    for _ in range(20):
-        p = _random_walk(square, rng, 8)
-        q = _random_walk_from(square, rng, walk_orbits(square, p)[-1], 8)
-        combined = QWalk(p.edges + q.edges, base=p.base if not p.edges and not q.edges else None)
-        total = chain_of_walk(combined)
-        left, right = chain_of_walk(p), chain_of_walk(q)
-        merged = dict(left)
-        for k, v in right.items():
-            merged[k] = merged.get(k, 0) + v
-        assert total == merged
+def test_chain_of_walk(triangle):
+    # edge ids: 0, 1 a->b; 2 b->c; 3 c->a; 4 b->a; 5 the loop at c
+    cycles = {c.edges: c for c in enumerate_cycles(triangle)}
+    assert chain_of_walk(cycles[(0, 2, 3)]) == {0: 1, 2: 1, 3: 1}
+    assert chain_of_walk(cycles[(1, 4)]) == {1: 1, 4: 1}
+    assert chain_of_walk(cycles[(5,)]) == {5: 1}
 
 
 def test_mu_single_loop(square):
@@ -115,27 +102,8 @@ def test_mu_rejects_non_homology(honeycomb):
         mu(honeycomb, {0: 1})  # a single a->b edge has nonzero boundary
 
 
-def test_support():
-    g = parse_periodic_graph(TRIANGLE_TEXT)
-    assert support(g, QWalk((), base=1)) == {1}
-    assert support(g, QWalk((0, 4))) == {0, 1}
-    assert support(g, Cycle((5,))) == {2}
-
-
-def _random_walk(g, rng, max_length):
-    orbit = rng.randrange(g.num_orbits)
-    return _random_walk_from(g, rng, orbit, max_length)
-
-
-def _random_walk_from(g, rng, orbit, max_length):
-    edges = []
-    for _ in range(rng.randint(0, max_length)):
-        options = g.out_edges(orbit)
-        if not options:
-            break
-        e = rng.choice(options)
-        edges.append(e.id)
-        orbit = e.dst
-    if edges:
-        return QWalk(tuple(edges))
-    return QWalk((), base=orbit)
+def test_support(triangle):
+    cycles = {c.edges: c for c in enumerate_cycles(triangle)}
+    assert support(triangle, cycles[(0, 4)]) == {0, 1}
+    assert support(triangle, cycles[(1, 2, 3)]) == {0, 1, 2}
+    assert support(triangle, cycles[(5,)]) == {2}
