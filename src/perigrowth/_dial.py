@@ -1,18 +1,19 @@
 """The two search kernels: weighted distances and unweighted saturation.
 
 `dial_distances` is monotone label-setting over integer weights (Dial's
-bucket queue).  It is generic over node type, so the same search drives
-plain ball expansion, the (vertex, support-mask) product search and the
-per-subset minimum-degree searches of the decomposition machinery.  Each
-start carries its own initial distance.  Buckets are indexed by distance mod
-(max(W, D) + 1), where W bounds the step weights and D the start distances:
-once the labels below d are settled, every pending label lies in
-[d, d + max(W, D)], so no two pending distances share a bucket.
+bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
+takes the steps of class v % len(table), the orbit of a packed cover vertex
+or the (orbit, support mask) of a support-graded state.  It drives the
+ball, the support-graded search and the per-subset minimum-degree searches.
+Each start carries its own initial distance.  Buckets are indexed by
+distance mod (max(W, D) + 1), where W bounds the step weights and D the
+start distances: once the labels below d are settled, every pending label
+lies in [d, d + max(W, D)], so no two pending distances share a bucket.
 
 `reachable` is worklist saturation: the closure of a start set under a
-successor function.  Module saturation, monoid orbit search and quotient
-reachability all run on it; each bounds its own search by yielding only
-successors inside its degree bound or lattice region.
+successor function.  Module saturation and the monoid orbit search run on
+it; each bounds its own search by yielding only successors inside its
+degree bound or lattice region.
 """
 
 from __future__ import annotations
@@ -21,33 +22,49 @@ from typing import Callable, Hashable, Iterable
 
 from .errors import ResourceLimitError
 
-Node = Hashable
+StepTable = tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+
+
+def step_table(classes: Iterable[Iterable[tuple[int, int]]]) -> StepTable:
+    """Each class's (delta, w) steps as (w, deltas) groups, lightest w first."""
+    table = []
+    for steps in classes:
+        groups: dict[int, list[int]] = {}
+        for delta, w in steps:
+            groups.setdefault(w, []).append(delta)
+        table.append(tuple((w, tuple(groups[w])) for w in sorted(groups)))
+    return tuple(table)
 
 
 def dial_distances(
-    starts: Iterable[tuple[Node, int]],
-    successors: Callable[[Node], Iterable[tuple[Node, int]]],
+    starts: Iterable[tuple[int, int]],
+    table: StepTable,
     budget: int,
-    max_weight: int,
     *,
-    cap: int = 10_000_000,
-    cap_what: str = "search frontier",
-) -> dict[Node, int]:
+    cap: int,
+    cap_what: str,
+) -> dict[int, int]:
     """Exact distances min over starts (s, d0) of d0 + d(s, v), up to budget.
 
     Starts beyond the budget are dropped; a node given twice keeps its
-    smaller start distance.
+    smaller start distance.  Raises ResourceLimitError when the search
+    would hold more than `cap` nodes, starts included.
     """
-    dist: dict[Node, int] = {}
+    full = f"{cap_what} exceeded {cap} nodes; raise the cap"
+    dist: dict[int, int] = {}
     for s, d0 in starts:
         if d0 < 0:
             raise ValueError(f"negative start distance {d0}")
         if d0 <= budget and dist.get(s, d0 + 1) > d0:
             dist[s] = d0
+    if len(dist) > cap:
+        raise ResourceLimitError(full)
+    max_weight = max((groups[-1][0] for groups in table if groups), default=0)
     modulus = max(max_weight, max(dist.values(), default=0)) + 1
-    buckets: list[list[Node]] = [[] for _ in range(modulus)]
+    buckets: list[list[int]] = [[] for _ in range(modulus)]
     for s, d0 in dist.items():
         buckets[d0 % modulus].append(s)
+    n = len(table)
     for d in range(budget + 1):
         slot = buckets[d % modulus]
         if not slot:
@@ -56,28 +73,31 @@ def dial_distances(
         for node in slot:
             if dist[node] != d:
                 continue  # superseded label
-            for nb, w in successors(node):
+            for w, deltas in table[node % n]:
                 nd = d + w
                 if nd > budget:
-                    continue
-                old = dist.get(nb)
-                if old is None or nd < old:
-                    if old is None and len(dist) >= cap:
-                        raise ResourceLimitError(
-                            f"{cap_what} exceeded {cap} nodes; raise the cap"
-                        )
+                    break
+                bucket = buckets[nd % modulus]
+                for delta in deltas:
+                    nb = node + delta
+                    old = dist.get(nb)
+                    if old is None:
+                        if len(dist) >= cap:
+                            raise ResourceLimitError(full)
+                    elif nd >= old:
+                        continue
                     dist[nb] = nd
-                    buckets[nd % modulus].append(nb)
+                    bucket.append(nb)
     return dist
 
 
 def reachable(
-    starts: Iterable[Node],
-    successors: Callable[[Node], Iterable[Node]],
+    starts: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
     *,
     cap: int,
     cap_what: str,
-) -> set[Node]:
+) -> set[Hashable]:
     """Every node reachable from the starts, the starts included.
 
     Raises ResourceLimitError when a new node is found while the set

@@ -330,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, cap in (("--max-ball", args.max_ball), ("--max-cycles", args.max_cycles)):
+        if cap < 1:
+            parser.error(f"argument {flag}: a cap must be at least 1, got {cap}")
     try:
         return args.run(args)
     except MathError as exc:

@@ -12,10 +12,11 @@ and the module action.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from ._dial import dial_distances, reachable
+from ._dial import dial_distances, reachable, step_table
 from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
 from .errors import GuardError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
@@ -114,24 +115,27 @@ def support_distances(
     """
     n = codec.orbits
     steps = [
-        [
-            ((e.dst - e.src + codec.delta(e.shift)) << n, 1 << e.dst, e.weight)
-            for e in g.out_edges(orbit)
-        ]
-        for orbit in range(n)
+        [(codec.delta(e.shift) + e.dst - e.src << n, 1 << e.dst, e.weight) for e in out]
+        for out in map(g.out_edges, range(n))
     ]
+    targets = [sum({bit for _, bit, _ in out}) for out in steps]
 
-    def successors(state: int):
-        return [((state + delta) | bit, w) for delta, bit, w in steps[(state >> n) % n]]
+    # state % (n << n) is orbit << n | mask: an edge into orbit b adds its
+    # packed delta << n, plus bit b when the mask lacks it.  A class reads
+    # the mask only at its orbit's edge targets, so it is built once and
+    # shared by every mask that agrees there
+    @functools.cache
+    def steps_at(orbit: int, seen: int):
+        return step_table([[(d + (~seen & bit), w) for d, bit, w in steps[orbit]]])[0]
 
+    table = tuple(
+        steps_at(orbit, mask & targets[orbit])
+        for orbit in range(n)
+        for mask in range(1 << n)
+    )
     start = codec.encode(codec.base) << n | 1 << codec.base.orbit
     return dial_distances(
-        [(start, 0)],
-        successors,
-        codec.radius,
-        g.max_weight(),
-        cap=cap,
-        cap_what="support-graded ball",
+        [(start, 0)], table, codec.radius, cap=cap, cap_what="support-graded ball"
     )
 
 
@@ -262,18 +266,11 @@ def _min_degrees(
     at the same vertex, so they never lower a least degree and are skipped.
     """
     zero = monoid.zero()[1]
-    steps = [(codec.delta(gvec), gd) for gd, gvec in monoid.generators if gvec != zero]
-
-    def successors(key: int):
-        return [(key + delta, gd) for delta, gd in steps]
-
+    table = step_table(
+        [[(codec.delta(gvec), gd) for gd, gvec in monoid.generators if gvec != zero]]
+    )
     return dial_distances(
-        starts,
-        successors,
-        codec.radius,
-        max((gd for _, gd in steps), default=0),
-        cap=cap,
-        cap_what="module saturation",
+        starts, table, codec.radius, cap=cap, cap_what="module saturation"
     )
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import FormatError, InputError, NoFitError, PerigrowthError
 from .periodic_graph import QuotientGraph
-from .walks import enumerate_cycles, walk_weight
+from .walks import cycle_weights
 
 DEFAULT_MARGIN = 10
 DEFAULT_MARGIN_PER_AXIS = 5
@@ -154,7 +154,7 @@ def default_denominator(
 ) -> tuple[tuple[int, int], ...]:
     """Denominator ansatz (1-t) * prod over cycles (1-t^{weight})."""
     factors = [(1, 1)]
-    factors.extend((walk_weight(g, c), 1) for c in enumerate_cycles(g, cap=cycle_cap))
+    factors.extend((w, 1) for w in cycle_weights(g, cap=cycle_cap))
     return merge_factors(factors)
 
 
@@ -244,20 +244,25 @@ def canonicalize(rs: RationalSeries) -> RationalSeries:
     return reduced
 
 
-def fit_univariate_auto(
-    terms, factors, *, margin: int = DEFAULT_MARGIN, canonical: bool = False
-) -> RationalSeries:
-    """Escalation ladder: default ansatz, then squared factors."""
-    factors = merge_factors(factors)
-    attempts = [factors, tuple((w, 2 * e) for w, e in factors)]
+def _escalate(fit, factors):
+    """Escalation ladder: fit over the ansatz, then over its squared factors."""
     failures = []
-    for candidate in attempts:
+    for candidate in (factors, tuple((w, 2 * e) for w, e in factors)):
         try:
-            fit = fit_univariate(terms, candidate, margin=margin)
-            return canonicalize(fit) if canonical else fit
+            return fit(candidate)
         except NoFitError as exc:
             failures.append(f"ansatz {candidate}: {exc}")
     raise NoFitError("; ".join(failures))
+
+
+def fit_univariate_auto(
+    terms, factors, *, margin: int = DEFAULT_MARGIN, canonical: bool = False
+) -> RationalSeries:
+    """The univariate fit on the escalation ladder, canonicalized on request."""
+    fit = _escalate(
+        lambda f: fit_univariate(terms, f, margin=margin), merge_factors(factors)
+    )
+    return canonicalize(fit) if canonical else fit
 
 
 # ---------------------------------------------------------------------------
@@ -440,32 +445,24 @@ def fit_multivariate(
         for _ in range(e):
             _box_pass(coeffs, box, w, divide=False)
     num = {a: c for a, c in zip(points, coeffs) if c}
-    support = [0] * arity
-    for a in num:
-        for i, x in enumerate(a):
-            support[i] = max(support[i], x)
-    for i in range(arity):
-        if support[i] + margins[i] > box[i]:
+    fit = MultivariateRationalSeries(arity, num, factors, box)
+    for i, support in enumerate(fit.numerator_degrees()):
+        if support + margins[i] > box[i]:
             raise NoFitError(
-                f"no fit at this ansatz: axis {i} numerator support {support[i]}"
-                f" leaves margin {box[i] - support[i]} < {margins[i]}"
+                f"no fit at this ansatz: axis {i} numerator support {support}"
+                f" leaves margin {box[i] - support} < {margins[i]}"
             )
-    return MultivariateRationalSeries(arity, num, factors, box)
+    return fit
 
 
 def fit_multivariate_auto(
     table, box, factors, *, margins=None
 ) -> MultivariateRationalSeries:
-    """Escalation ladder for the multivariate fit (square factors once)."""
-    factors = merge_mv_factors(factors)
-    attempts = [factors, tuple((w, 2 * e) for w, e in factors)]
-    failures = []
-    for candidate in attempts:
-        try:
-            return fit_multivariate(table, box, candidate, margins=margins)
-        except NoFitError as exc:
-            failures.append(f"ansatz {candidate}: {exc}")
-    raise NoFitError("; ".join(failures))
+    """The multivariate fit on the escalation ladder."""
+    return _escalate(
+        lambda f: fit_multivariate(table, box, f, margins=margins),
+        merge_mv_factors(factors),
+    )
 
 
 def s_from_b(ms: MultivariateRationalSeries) -> MultivariateRationalSeries:

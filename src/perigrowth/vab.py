@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .periodic_graph import EdgeOrbit, PeriodicVertex, QuotientGraph, Vector, _tokenize
-from .walks import enumerate_cycles, walk_weight
+from .walks import cycle_weights
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -223,18 +223,8 @@ def build_cayley(
     edges = []
     for f in range(group.order):
         for gen in gens:
-            s = gen.element
-            shift = tuple(
-                x + y
-                for x, y in zip(
-                    _apply(group.action[f], s.vec), group.cocycle[f][s.part]
-                )
-            )
-            edges.append(
-                EdgeOrbit(
-                    len(edges), f, group.mult[f][s.part], shift, gen.weight
-                )
-            )
+            end = multiply(group, GroupElement((0,) * group.rank, f), gen.element)
+            edges.append(EdgeOrbit(len(edges), f, end.part, end.vec, gen.weight))
     names = tuple(f"f{f}" for f in range(group.order))
     graph = QuotientGraph(group.rank, names, tuple(edges))
     return graph, PeriodicVertex(0, (0,) * group.rank)
@@ -489,7 +479,7 @@ def default_set_denominator(
     dm.check_radius(coupling_radius(graph, mmset))
     d = mmset.arity
     vectors: set[tuple[int, ...]] = set()
-    weights = {walk_weight(graph, c) for c in enumerate_cycles(graph, cap=cycle_cap)}
+    weights = set(cycle_weights(graph, cap=cycle_cap))
     for i in range(d):
         vectors.add(tuple(1 if j == i else 0 for j in range(d)))
         vectors.update(tuple(w if j == i else 0 for j in range(d)) for w in weights)
@@ -538,6 +528,11 @@ def _part_index(tokens, at: int, name: str, order: int, lineno) -> int:
     return index
 
 
+def _rows(values: list[int], count: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The first count * width values as `count` consecutive rows."""
+    return tuple(tuple(values[i * width : (i + 1) * width]) for i in range(count))
+
+
 def _int_arg(tokens, lineno) -> int:
     """The one integer argument of a `<directive> <n>` line."""
     if len(tokens) != 2:
@@ -559,6 +554,8 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
             if key in seen:
                 raise FormatError(f"duplicate {key} directive", lineno)
             seen.add(key)
+        if key in ("action", "cocycle", "gen") and (rank is None or order is None):
+            raise FormatError(f"rank and finite must come before {key}", lineno)
         if key == "rank":
             rank = _int_arg(tokens, lineno)
         elif key == "finite":
@@ -571,12 +568,8 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 raise FormatError(
                     f"mult needs {order * order} entries, got {len(values)}", lineno
                 )
-            mult = tuple(
-                tuple(values[i * order : (i + 1) * order]) for i in range(order)
-            )
+            mult = _rows(values, order, order)
         elif key == "action":
-            if rank is None or order is None:
-                raise FormatError("rank and finite must come before action", lineno)
             f = _part_index(tokens, 1, "f", order, lineno)
             if f == 0:
                 raise FormatError("f=0 always acts as the identity", lineno)
@@ -587,12 +580,8 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 raise FormatError(
                     f"action needs {rank * rank} entries, got {len(values)}", lineno
                 )
-            action[f] = tuple(
-                tuple(values[i * rank : (i + 1) * rank]) for i in range(rank)
-            )
+            action[f] = _rows(values, rank, rank)
         elif key == "cocycle":
-            if rank is None or order is None:
-                raise FormatError("rank and finite must come before cocycle", lineno)
             f = _part_index(tokens, 1, "f", order, lineno)
             g = _part_index(tokens, 2, "g", order, lineno)
             if (f, g) in cocycle:
@@ -602,8 +591,6 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
                 raise FormatError(f"cocycle needs {rank} entries", lineno)
             cocycle[(f, g)] = tuple(values)
         elif key == "gen":
-            if rank is None or order is None:
-                raise FormatError("rank and finite must come before gen", lineno)
             if len(tokens) != 4 + rank:
                 raise FormatError(
                     f"gen needs name, {rank} vector entries, part and weight", lineno
@@ -735,12 +722,7 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
                     f"ugen needs {arity * group.rank} entries, got {len(values)}",
                     lineno,
                 )
-            current_gens.append(
-                tuple(
-                    tuple(values[i * group.rank : (i + 1) * group.rank])
-                    for i in range(arity)
-                )
-            )
+            current_gens.append(_rows(values, arity, group.rank))
         elif key == "shift":
             if current_gens is None:
                 raise FormatError("shift outside a piece block", lineno)

@@ -90,6 +90,11 @@ def enumerate_cycles(g: QuotientGraph, *, cap: int = 1_000_000) -> list[Cycle]:
     return sorted(found, key=lambda c: (len(c.edges), c.edges))
 
 
+def cycle_weights(g: QuotientGraph, *, cap: int = 1_000_000) -> list[int]:
+    """The weight of every simple cycle, in `enumerate_cycles` order."""
+    return [walk_weight(g, c) for c in enumerate_cycles(g, cap=cap)]
+
+
 def _boundary(g: QuotientGraph, c: EdgeChain) -> dict[int, int]:
     bnd: Counter = Counter()
     for eid, mult in c.items():

@@ -57,6 +57,17 @@ def test_ball_cap():
         distances_upto(g, PeriodicVertex(0, (0,)), 100, cap=10)
 
 
+def test_ball_cap_boundary(honeycomb):
+    # the cap counts every vertex held, the base included
+    x0, radius = PeriodicVertex(1, (2, -1)), 7
+    size = len(distances_upto(honeycomb, x0, radius).entries)
+    assert len(distances_upto(honeycomb, x0, radius, cap=size).entries) == size
+    with pytest.raises(ResourceLimitError):
+        distances_upto(honeycomb, x0, radius, cap=size - 1)
+    with pytest.raises(ResourceLimitError):
+        distances_upto(honeycomb, x0, 0, cap=0)
+
+
 def test_square_growth_matches_hand_count(square):
     seq = growth_sequence(square, PeriodicVertex(0, (0, 0)), 50)
     assert list(seq.terms) == [square_lattice_count(i) for i in range(51)]

@@ -232,9 +232,11 @@ def counting(calls, name, fn):
     return wrapper
 
 
-def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
+def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeycomb):
     # one packed ball and no graded pair sets: the cover compares least
-    # degrees on packed keys, so the decoding `distances_upto` never runs
+    # degrees on packed keys, so the decoding `distances_upto` never runs;
+    # every weighted search is one `dial_distances` call: the ball, the
+    # support search and one least-degree search per orbit subset
     calls = []
     names = (
         "enumerate_cycles",
@@ -243,6 +245,7 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
         "distances_upto",
         "graded_growth_slice",
         "module_elements_upto",
+        "dial_distances",
     )
     for module in (ball, decomposition):
         for name in names:
@@ -253,7 +256,41 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch):
         capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
     )
     assert code == 0
-    assert sorted(calls) == ["enumerate_cycles", "packed_distances", "support_distances"]
+    searches = 2 + len(decomposition.all_support_sets(honeycomb))
+    assert sorted(calls) == sorted(
+        ["enumerate_cycles", "packed_distances", "support_distances"]
+        + ["dial_distances"] * searches
+    )
+    calls.clear()
+    code, _, _ = run_cli(capsys, "pg", "growth", data_path("honeycomb.pg"), "--upto", "6")
+    assert code == 0
+    assert sorted(calls) == ["dial_distances", "packed_distances"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-ball", "0", "pg", "growth", data_path("square.pg"), "--upto", "0"],
+        ["--max-ball", "-5", "pg", "growth", data_path("square.pg"), "--upto", "3"],
+        ["--max-cycles", "-1", "pg", "series", data_path("square.pg"), "--upto", "10"],
+        ["--max-cycles", "0", "vag", "relative", data_path("dinf.vag"),
+         data_path("invol.set"), "--upto", "10"],
+    ],
+)
+def test_caps_below_one_exit_2_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert "a cap must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_cap_of_one_holds_the_base(capsys):
+    code, out, _ = run_cli(
+        capsys, "--max-ball", "1", "pg", "growth", data_path("square.pg"), "--upto", "0"
+    )
+    assert (code, out.splitlines()[1]) == (0, "1")
 
 
 def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch):
@@ -349,6 +386,12 @@ DINF_HEAD = "rank 1\nfinite 2\nmult 0 1 1 0\n"
         pytest.param("g.vag", "rank 1\naction f=1 -1\nfinite 2\n",
                      "line 2: rank and finite must come before action",
                      id="action-before-finite"),
+        pytest.param("g.vag", "finite 1\ncocycle f=0 g=0 0\nrank 1\n",
+                     "line 2: rank and finite must come before cocycle",
+                     id="cocycle-before-rank"),
+        pytest.param("g.vag", "rank 1\ngen a 1 0 1\nfinite 1\n",
+                     "line 2: rank and finite must come before gen",
+                     id="gen-before-finite"),
         pytest.param("s.set", "arity 1\npiece\nshift (-;0)\n",
                      "line 3: shift vector entries must be integers", id="shift-entry"),
         pytest.param("e.eqn", "vars 1\nword X1 [-;0]\n",

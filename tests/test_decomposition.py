@@ -5,17 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigrowth import decomposition
-from perigrowth.ball import VertexCodec
+from perigrowth.ball import VertexCodec, vertex_codec
 from perigrowth.decomposition import (
     GradedMonoid,
+    _min_degrees,
     all_support_sets,
     build_MS,
     build_XS_generators,
     module_elements_upto,
+    support_distances,
     verify_cover,
     verify_module_action,
 )
-from perigrowth.errors import GuardError
+from perigrowth.errors import GuardError, ResourceLimitError
 from perigrowth.periodic_graph import (
     EdgeOrbit,
     PeriodicVertex,
@@ -348,3 +350,66 @@ def test_module_action_with_degree_zero_generator_matches_reference(honeycomb):
         monoid = GradedMonoid(2, build_MS(honeycomb, S).generators + ((0, (4, -3)),))
         report = verify_module_action(honeycomb, x0, S, radius, monoid=monoid)
         assert report == reference_action(sdist, S, monoid, radius)
+
+
+@st.composite
+def support_searches(draw):
+    """A random graph with 1-3 orbits, dim 1-2 and weights 1-3, directed or
+    inverse-closed, a base vertex off the origin and a radius."""
+    n, dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.tuples(*[st.integers(-1, 1)] * dim),
+                st.integers(1, 3),
+            ),
+            max_size=6,
+        )
+    )
+    if draw(st.booleans()):  # inverse-closed: every edge has its reverse
+        edges += [(dst, src, tuple(-c for c in s), w) for src, dst, s, w in edges]
+    g = QuotientGraph(
+        dim,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
+    x0 = V(draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-3, 3)] * dim)))
+    return g, x0, draw(st.integers(0, 7))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(support_searches())
+def test_support_distances_match_reference(case):
+    # each packed state key << n | mask decodes to (endpoint, exact support)
+    g, x0, radius = case
+    codec = vertex_codec(g, x0, radius)
+    n = g.num_orbits
+    got = {
+        (codec.decode(state >> n), frozenset(i for i in range(n) if state >> i & 1)): d
+        for state, d in support_distances(g, codec).items()
+    }
+    assert got == support_state_distances(g, x0, radius)
+
+
+def test_search_caps_count_every_node_held(honeycomb):
+    # a search may hold exactly `cap` nodes, its starts included, and no more
+    x0, radius, S = V(1, (2, -1)), 6, frozenset({0, 1})
+    codec = vertex_codec(honeycomb, x0, radius)
+    size = len(support_distances(honeycomb, codec))
+    assert len(support_distances(honeycomb, codec, cap=size)) == size
+    with pytest.raises(ResourceLimitError):
+        support_distances(honeycomb, codec, cap=size - 1)
+    monoid = build_MS(honeycomb, S)
+    codec = vertex_codec(honeycomb, x0, radius, monoid.generators)
+    starts = [
+        (codec.encode(v), d)
+        for d, v in build_XS_generators(honeycomb, x0, S).generators
+    ]
+    size = len(_min_degrees(codec, monoid, starts, cap=10**6))
+    assert len(_min_degrees(codec, monoid, starts, cap=size)) == size
+    with pytest.raises(ResourceLimitError):
+        _min_degrees(codec, monoid, starts, cap=size - 1)
+    with pytest.raises(ResourceLimitError):
+        _min_degrees(codec, monoid, starts, cap=len(starts) - 1)

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
+from perigrowth.series import default_denominator
 from perigrowth.walks import (
     Cycle,
     chain_of_walk,
+    cycle_weights,
     enumerate_cycles,
     mu,
     support,
@@ -44,6 +46,13 @@ def test_cycles_honeycomb(honeycomb):
     cycles = enumerate_cycles(honeycomb)
     assert len(cycles) == 9
     assert all(len(c.edges) == 2 for c in cycles)
+
+
+def test_cycle_weights_keep_one_entry_per_cycle(triangle):
+    # the two parallel a -> b edges give two cycles of each weight 2 and 3
+    assert cycle_weights(triangle) == [len(c) for c in enumerate_cycles(triangle)]
+    assert sorted(cycle_weights(triangle)) == [1, 2, 2, 3, 3]
+    assert default_denominator(triangle) == ((1, 2), (2, 2), (3, 2))
 
 
 def test_cycles_empty_graph():
