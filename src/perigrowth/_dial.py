@@ -1,4 +1,4 @@
-"""The two search kernels: weighted distances and unweighted saturation.
+"""The one search kernel: weighted distances from a set of starts.
 
 `dial_distances` is monotone label-setting over integer weights (Dial's
 bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
@@ -9,16 +9,11 @@ Each start carries its own initial distance.  Buckets are indexed by
 distance mod (max(W, D) + 1), where W bounds the step weights and D the
 start distances: once the labels below d are settled, every pending label
 lies in [d, d + max(W, D)], so no two pending distances share a bucket.
-
-`reachable` is worklist saturation: the closure of a start set under a
-successor function.  Module saturation and the monoid orbit search run on
-it; each bounds its own search by yielding only successors inside its
-degree bound or lattice region.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Iterable
 
 from .errors import ResourceLimitError
 
@@ -90,31 +85,3 @@ def dial_distances(
                     bucket.append(nb)
     return dist
 
-
-def reachable(
-    starts: Iterable[Hashable],
-    successors: Callable[[Hashable], Iterable[Hashable]],
-    *,
-    cap: int,
-    cap_what: str,
-) -> set[Hashable]:
-    """Every node reachable from the starts, the starts included.
-
-    Raises ResourceLimitError when a new node is found while the set
-    already holds `cap` nodes.
-    """
-    seen = set(starts)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in successors(node):
-                if nb not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(
-                            f"{cap_what} exceeded {cap} nodes; raise the cap"
-                        )
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen

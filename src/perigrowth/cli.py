@@ -68,8 +68,11 @@ def _parse_box(value: str, arity: int) -> tuple[int, ...]:
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

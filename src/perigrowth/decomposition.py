@@ -16,9 +16,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from ._dial import dial_distances, reachable, step_table
+from ._dial import dial_distances, step_table
 from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
-from .errors import GuardError
+from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
 
@@ -210,16 +210,22 @@ def module_elements_upto(
     """All elements generator + monoid of degree <= degree."""
     _check_degree_zero(monoid.generators, monoid.zero()[1])
 
-    def successors(el):
-        d, y = el
-        return [
-            (d + gd, translate(y, gvec))
-            for gd, gvec in monoid.generators
-            if d + gd <= degree
-        ]
-
-    starts = [(d, y) for d, y in module_gens if d <= degree]
-    return reachable(starts, successors, cap=cap, cap_what="module saturation")
+    seen = {(d, y) for d, y in module_gens if d <= degree}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for d, y in frontier:
+            for gd, gvec in monoid.generators:
+                el = (d + gd, translate(y, gvec))
+                if el[0] <= degree and el not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceLimitError(
+                            f"module saturation exceeded {cap} nodes; raise the cap"
+                        )
+                    seen.add(el)
+                    nxt.append(el)
+        frontier = nxt
+    return seen
 
 
 def _action(

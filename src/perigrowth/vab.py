@@ -11,10 +11,11 @@ the weighted word length, which is what all growth counting runs on.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
-from ._dial import reachable
 from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, relative_counts
 from .errors import (
     DisjointnessError,
@@ -29,12 +30,6 @@ from .walks import cycle_weights
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_ORDER_CAP = 64
-
-# Steinitz rearrangement constant: in dimension q, any zero-average family
-# of vectors of norm <= M can be ordered with partial sums staying within
-# q*M of the straight path, so exploring a box inflated by that much is an
-# exact enumeration strategy for monoid orbits.
-STEINITZ_FACTOR = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -311,6 +306,32 @@ class MonoidModuleSet:
     pieces: tuple[MonoidModulePiece, ...]
 
 
+def _eliminate(columns: list[tuple[int, ...]], q: int) -> tuple[Matrix, int] | None:
+    """An invertible integer E and scale with E·U = (scale·I_k ; 0).
+
+    U stacks the k columns (each of length q); None when they are linearly
+    dependent.  One Gauss-Jordan elimination of [U | I] over the rationals,
+    scaled to integers by the lcm of the denominators.
+    """
+    k = len(columns)
+    rows = [
+        [Fraction(col[r]) for col in columns] + [Fraction(int(r == c)) for c in range(q)]
+        for r in range(q)
+    ]
+    for j in range(k):
+        pivot = next((r for r in range(j, q) if rows[r][j]), None)
+        if pivot is None:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for r in range(q):
+            if r != j and rows[r][j]:
+                f = rows[r][j]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[j])]
+    scale = math.lcm(*(x.denominator for row in rows for x in row[k:]))
+    return tuple(tuple(int(x * scale) for x in row[k:]) for row in rows), scale
+
+
 def enumerate_monoid_module_set(
     dm: DistanceMap,
     mmset: MonoidModuleSet,
@@ -321,10 +342,16 @@ def enumerate_monoid_module_set(
     """All elements whose every coordinate has word weight within the box.
 
     `dm` is the Cayley ball from the identity, of radius at least max(box).
-    Each piece's monoid orbit is explored inside a lattice region wide
-    enough (a Steinitz inflation of the ball's bounding box) to make the
-    restricted walk enumeration provably exhaustive.  Declared disjointness
-    is verified on the enumerated sets and violations are hard errors.
+    A piece's k ugens, flattened to length q = n·d, must be linearly
+    independent (an `InputError` names the piece otherwise), so `_eliminate`
+    gives an invertible E with E·U = (scale·I_k ; 0).  Then y lies in the
+    piece exactly when E(y - shift) = (c ; 0) with every c_j >= 0 and
+    divisible by scale: E(y - shift) = E·U·c' forces y - shift = U·c'.
+    E splits by coordinate, so each allowed ball point maps to one integer
+    vector; the last coordinate's points are indexed by their q - k lower
+    entries, and each tuple of the other coordinates' points (at most `cap`
+    of them per piece) looks up the negated sum.  Declared disjointness is
+    verified on the enumerated sets and violations are hard errors.
     """
     if len(box) != mmset.arity:
         raise InputError("box arity does not match set arity")
@@ -336,62 +363,42 @@ def enumerate_monoid_module_set(
     for v, dist in dm.entries.items():
         by_orbit.setdefault(v.orbit, []).append((v.coord, dist))
     seen_by_piece = []
-    for piece in mmset.pieces:
-        allowed: list[set[Vector]] = []
-        for bound, t in zip(box, piece.shift):
-            pts = by_orbit.get(t.part, [])
-            allowed.append(
-                {
-                    tuple(c - tc for c, tc in zip(coord, t.vec))
-                    for coord, dist in pts
-                    if dist <= bound
-                }
-            )
-        if any(not a for a in allowed):
-            seen_by_piece.append(set())
-            continue
-        flat_gens = [
-            tuple(itertools.chain.from_iterable(gen)) for gen in piece.ugens
-        ]
-        step = max((abs(c) for gen in flat_gens for c in gen), default=0)
-        inflation = STEINITZ_FACTOR * q * step
-        lo = [0] * q
-        hi = [0] * q
-        for i, a in enumerate(allowed):
-            for j in range(n):
-                axis = i * n + j
-                values = [u[j] for u in a]
-                lo[axis] = min(min(values), 0) - inflation
-                hi[axis] = max(max(values), 0) + inflation
-        cells = 1
-        for l, h in zip(lo, hi):
-            cells *= h - l + 1
-            if cells > cap:
-                raise ResourceLimitError(
-                    f"monoid orbit region exceeds {cap} lattice cells"
-                )
-
-        def successors(p):
-            for gen in flat_gens:
-                np_ = tuple(x + y for x, y in zip(p, gen))
-                if all(l <= x <= h for x, l, h in zip(np_, lo, hi)):
-                    yield np_
-
-        visited = reachable(
-            [(0,) * q], successors, cap=cap, cap_what="monoid orbit region"
+    for index, piece in enumerate(mmset.pieces):
+        k = len(piece.ugens)
+        elimination = _eliminate(
+            [tuple(itertools.chain.from_iterable(gen)) for gen in piece.ugens], q
         )
+        if elimination is None:
+            raise InputError(f"piece {index} has linearly dependent ugens")
+        e, scale = elimination
+        shift = tuple(itertools.chain.from_iterable(t.vec for t in piece.shift))
+        origin = [-x for x in _apply(e, shift)]
+        images = []  # per coordinate: (E_i y, element) of each allowed ball point
+        for i, (bound, t) in enumerate(zip(box, piece.shift)):
+            block = [row[i * n : (i + 1) * n] for row in e]
+            images.append(
+                [
+                    (_apply(block, y), GroupElement(y, t.part))
+                    for y, dist in by_orbit.get(t.part, [])
+                    if dist <= bound
+                ]
+            )
+        *head, last = images
+        if math.prod(len(points) for points in head) > cap:
+            raise ResourceLimitError(
+                f"piece {index}: monoid-module join exceeds {cap} head tuples;"
+                " raise the cap"
+            )
+        by_lower: dict[tuple[int, ...], list] = {}
+        for image, el in last:
+            by_lower.setdefault(image[k:], []).append((image[:k], el))
         members = set()
-        for p in visited:
-            chunks = [p[i * n : (i + 1) * n] for i in range(d)]
-            if all(chunk in allowed[i] for i, chunk in enumerate(chunks)):
-                members.add(
-                    tuple(
-                        GroupElement(
-                            tuple(c + tc for c, tc in zip(chunk, t.vec)), t.part
-                        )
-                        for chunk, t in zip(chunks, piece.shift)
-                    )
-                )
+        for combo in itertools.product(*head):
+            total = [sum(col) for col in zip(origin, *(image for image, _ in combo))]
+            for upper, el in by_lower.get(tuple(-x for x in total[k:]), ()):
+                c = [a + b for a, b in zip(total, upper)]
+                if all(x >= 0 and x % scale == 0 for x in c):
+                    members.add(tuple(el for _, el in combo) + (el,))
         seen_by_piece.append(members)
     for i in range(len(seen_by_piece)):
         for j in range(i + 1, len(seen_by_piece)):

@@ -7,18 +7,20 @@ the pair-set cover materializes every graded pair through
 `module_elements_upto` and `graded_growth_slice`, which the least-degree
 cover check does not use, and the reference action check steps
 `PeriodicVertex` values by `translate`, where the library steps packed keys.
+The monoid-module piece oracle reads only the ball's entries and solves
+every tuple of allowed points on its own, where the library joins them.
 """
 
 import heapq
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from perigrowth.ball import graded_growth_slice
 from perigrowth.decomposition import ActionReport, module_elements_upto
 from perigrowth.periodic_graph import PeriodicVertex, translate
-from perigrowth.vab import multiply
+from perigrowth.vab import GroupElement, multiply
 
 
 def square_lattice_count(i: int) -> int:
@@ -266,6 +268,68 @@ def monoid_elements_by_exponents(gens, degree: int) -> set:
 
     rec(0, 0, [0] * rank)
     return elements
+
+
+def _leibniz_det(m) -> int:
+    """Determinant by the permutation expansion."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(
+            1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i]
+        )
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def independent_columns(columns) -> bool:
+    """Whether the integer columns are linearly independent (Gram det != 0)."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
+    return _leibniz_det(gram) != 0
+
+
+def monoid_module_piece_tuples(dm, piece, box) -> set:
+    """Every tuple of allowed ball points that lies in one piece, by brute force.
+
+    Coordinate i may take any ball vertex in the orbit of the shift's part
+    at distance <= box[i]; each tuple of the product is solved exactly for
+    its coefficients over the flattened ugens by the normal equations, with
+    the Gram inverse from cofactors (the ugens must be independent), and
+    kept when they are nonnegative integers that reproduce the tuple.
+    """
+    columns = [tuple(c for u in gen for c in u) for gen in piece.ugens]
+    k = len(columns)
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in columns] for u in columns]
+    det = _leibniz_det(gram)
+    assert det != 0, "the oracle needs independent ugens"
+    cofactor = [
+        [
+            (-1) ** (i + j)
+            * _leibniz_det([r[:j] + r[j + 1 :] for a, r in enumerate(gram) if a != i])
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    choices = [
+        [
+            GroupElement(v.coord, v.orbit)
+            for v, dist in dm.entries.items()
+            if v.orbit == t.part and dist <= bound
+        ]
+        for bound, t in zip(box, piece.shift)
+    ]
+    members = set()
+    for tup in product(*choices):
+        x = [y - s for el, t in zip(tup, piece.shift) for y, s in zip(el.vec, t.vec)]
+        rhs = [sum(a * b for a, b in zip(u, x)) for u in columns]
+        coeffs = [
+            Fraction(sum(cofactor[i][j] * rhs[i] for i in range(k)), det)
+            for j in range(k)
+        ]
+        if all(c >= 0 and c.denominator == 1 for c in coeffs) and all(
+            sum(c * u[r] for c, u in zip(coeffs, columns)) == x[r] for r in range(len(x))
+        ):
+            members.add(tup)
+    return members
 
 
 # ---------------------------------------------------------------------------

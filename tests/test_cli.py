@@ -417,6 +417,36 @@ def test_malformed_file_exits_2_with_line(capsys, tmp_path, name, text, message)
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("arity 1\npiece\nugen 1\nugen 2\nshift (0;0)\n",
+                     "piece 0 has linearly dependent ugens", id="dependent"),
+        pytest.param("arity 1\npiece\nshift (0;0)\npiece\nugen 0\nshift (1;0)\n",
+                     "piece 1 has linearly dependent ugens", id="zero"),
+    ],
+)
+def test_dependent_ugens_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "s.set"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "vag", "relative", data_path("dinf.vag"), str(path), "--upto", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(
+        capsys, "--output", str(target), "pg", "growth", data_path("square.pg"),
+        "--upto", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 DINF_GENS = "gen a 1 0 1\ngen b 0 1 1\n"
 
 

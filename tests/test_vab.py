@@ -1,9 +1,18 @@
+import functools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from perigrowth.ball import distances_upto, growth_sequence, relative_counts
-from perigrowth.errors import CoverageError, DisjointnessError, FormatError, GuardError
+from perigrowth.errors import (
+    CoverageError,
+    DisjointnessError,
+    FormatError,
+    GuardError,
+    ResourceLimitError,
+)
 from perigrowth.periodic_graph import PeriodicVertex
 from perigrowth.series import (
     canonicalize,
@@ -35,7 +44,12 @@ from perigrowth.vab import (
 )
 
 from conftest import SEED, data_text
-from oracles import growth_from_weights, word_weights
+from oracles import (
+    growth_from_weights,
+    independent_columns,
+    monoid_module_piece_tuples,
+    word_weights,
+)
 
 E = GroupElement
 
@@ -309,6 +323,69 @@ def test_enumerate_needs_reachable_coordinates():
     _, dm = _ball(group, gens, 5)
     tuples = enumerate_monoid_module_set(dm, MonoidModuleSet(1, (piece,)), (5,))
     assert tuples == [(group.identity(),)]
+
+
+@functools.cache
+def _corpus_ball(name: str):
+    """The bundled group and its Cayley ball of radius 6 about the identity."""
+    group, gens = parse_vag(data_text(f"{name}.vag"))
+    return group, _ball(group, gens, 6)[1]
+
+
+@st.composite
+def independent_pieces(draw):
+    """One piece in D-infinity or Klein: arity 1-2, 0-3 independent ugens with
+    entries -2..2, a shift near the origin, and a box of at most 6."""
+    name = draw(st.sampled_from(["dinf", "klein"]))
+    group, _ = _corpus_ball(name)
+    arity = draw(st.integers(1, 2))
+    vector = st.tuples(*[st.integers(-2, 2)] * group.rank)
+    ugens = draw(st.lists(st.tuples(*[vector] * arity), max_size=3))
+    assume(independent_columns([sum(gen, ()) for gen in ugens]))
+    shift = draw(
+        st.tuples(*[st.builds(E, vector, st.integers(0, group.order - 1))] * arity)
+    )
+    box = draw(st.tuples(*[st.integers(0, 6)] * arity))
+    return name, MonoidModulePiece(tuple(ugens), shift), box
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(independent_pieces())
+# two Klein ugens of opposite signs in x: members such as
+# (0,1) = (2,1) + 2(-1,0) need both
+@example(("klein", MonoidModulePiece((((2, 1),), ((-1, 0),)), (E((0, 0), 0),)), (6,)))
+# four ugens of determinant -2: a full-rank sublattice of index 2 in Z^4
+@example(
+    (
+        "klein",
+        MonoidModulePiece(
+            (((1, 0), (1, 0)), ((0, 1), (0, -1)), ((1, 1), (0, 0)), ((0, 0), (1, 1))),
+            (E((0, 0), 0), E((1, 0), 1)),
+        ),
+        (4, 4),
+    )
+)
+def test_join_matches_brute_force(case):
+    name, piece, box = case
+    _, dm = _corpus_ball(name)
+    tuples = enumerate_monoid_module_set(dm, MonoidModuleSet(len(box), (piece,)), box)
+    assert tuples == sorted(monoid_module_piece_tuples(dm, piece, box))
+
+
+def test_enumerate_cap_bounds_head_tuples():
+    # the join walks the points of coordinate 0 and looks up coordinate 1
+    group = z_group()
+    gens = [
+        WeightedGenerator("a", E((1,), 0), 1),
+        WeightedGenerator("ai", E((-1,), 0), 1),
+    ]
+    _, dm = _ball(group, gens, 5)
+    mmset = parse_set(data_text("diag.set"), group)
+    heads = sum(1 for dist in dm.entries.values() if dist <= 3)
+    assert heads == 7
+    assert len(enumerate_monoid_module_set(dm, mmset, (3, 5), cap=heads)) == 7
+    with pytest.raises(ResourceLimitError, match="exceeds 6 head tuples"):
+        enumerate_monoid_module_set(dm, mmset, (3, 5), cap=heads - 1)
 
 
 def test_relative_growth_terms_involutions(dinf):
