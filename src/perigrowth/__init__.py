@@ -77,12 +77,6 @@ from .vab import (
     univariate_terms,
     validate_group,
 )
-from .walks import (
-    Cycle,
-    chain_of_walk,
-    enumerate_cycles,
-    mu,
-    support,
-)
+from .walks import Cycle, enumerate_cycles
 
 __version__ = "0.1.0"

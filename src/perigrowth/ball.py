@@ -28,11 +28,8 @@ the base.  A module element of degree at most R is the end of such a walk
 plus moves of total degree at most R, and each move of degree g shifts
 axis i by at most g * S_i, so it too stays within R * S_i of the base.
 Each digit therefore stays in [0, 2 * R * S_i], never carries into its
-neighbour, and the encoding is exact.  A degree-0 move has no per-degree
-bound: it widens axis i by |vec_i| once, enough for one application, which
-is all the decomposition's action check makes (its searches refuse such
-moves).  Keys are decoded to `PeriodicVertex` only where results leave the
-searches.
+neighbour, and the encoding is exact.  Keys are decoded to `PeriodicVertex`
+only where results leave the searches.
 """
 
 from __future__ import annotations
@@ -56,9 +53,6 @@ class DistanceMap:
     base: PeriodicVertex
     radius: int
     entries: dict[PeriodicVertex, int]
-
-    def __contains__(self, v: PeriodicVertex) -> bool:
-        return v in self.entries
 
     def distance(self, v: PeriodicVertex) -> int | None:
         return self.entries.get(v)
@@ -127,6 +121,7 @@ def vertex_codec(
 
     `moves` lists the (degree, vector) lattice moves the searches take
     besides the edges; see the module docstring for the bound they enter.
+    A move with a zero vector is ignored; any other needs degree at least 1.
     """
     if radius < 0:
         raise InputError("radius must be nonnegative")
@@ -135,20 +130,18 @@ def vertex_codec(
         raise ValueError("; ".join(report))
     if not 0 <= x0.orbit < g.num_orbits or len(x0.coord) != g.dim:
         raise ValueError(f"base {x0} is not a vertex of the cover")
-    moves = set(moves)
+    moves = {(deg, vec) for deg, vec in moves if any(vec)}
     if any(len(vec) != g.dim for _, vec in moves):
         raise ValueError(f"a move's vector length does not match dimension {g.dim}")
+    if any(deg < 1 for deg, _ in moves):
+        raise ValueError("a move that changes the vertex needs degree at least 1")
     offsets, spans, strides = [], [], []
     stride = g.num_orbits
     for axis in range(g.dim):
         per_degree = max((abs(e.shift[axis]) for e in g.edges), default=0)
-        once = 0
         for deg, vec in moves:
-            if deg:
-                per_degree = max(per_degree, -(-abs(vec[axis]) // deg))
-            else:
-                once = max(once, abs(vec[axis]))
-        reach = radius * per_degree + once
+            per_degree = max(per_degree, -(-abs(vec[axis]) // deg))
+        reach = radius * per_degree
         offsets.append(reach)
         spans.append(2 * reach + 1)
         strides.append(stride)

@@ -93,10 +93,6 @@ def _load_vag(path: str):
     return group, gens
 
 
-def _format_element(el: vab.GroupElement) -> str:
-    return "(" + ",".join(str(c) for c in el.vec) + f";{el.part})"
-
-
 def _series_lines(obj) -> list[str]:
     return series.series_to_text(obj).splitlines()
 
@@ -137,9 +133,9 @@ def cmd_pg_series(args) -> int:
     base = _parse_base(g, args.base)
     seq = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
     factors = series.default_denominator(g, cycle_cap=args.max_cycles)
-    fit = series.fit_univariate_auto(
-        seq.terms, factors, margin=args.margin, canonical=args.canonical
-    )
+    fit = series.fit_univariate_auto(seq.terms, factors, margin=args.margin)
+    if args.canonical:
+        fit = series.canonicalize(fit)
     _emit(args, [FORMAT_HEADER] + _series_lines(fit))
     return EXIT_OK
 
@@ -216,9 +212,7 @@ def cmd_vag_solve(args) -> int:
     arity, words = vab.parse_eqn(_read(args.equations), group)
     solutions = vab.solve_box(group, arity, words, args.box)
     lines = [FORMAT_HEADER, f"solutions {len(solutions)}"]
-    lines.extend(
-        " ".join(_format_element(el) for el in tup) for tup in solutions
-    )
+    lines.extend(" ".join(map(str, tup)) for tup in solutions)
     _emit(args, lines)
     return EXIT_OK
 

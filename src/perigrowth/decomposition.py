@@ -20,7 +20,7 @@ from ._dial import dial_distances, step_table
 from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
 from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
-from .walks import chain_of_walk, enumerate_cycles, mu, support, walk_weight
+from .walks import enumerate_cycles
 
 SupportSet = frozenset[int]
 
@@ -40,16 +40,17 @@ class GradedMonoid:
                 raise ValueError(f"negative generator degree {deg}")
             if len(vec) != self.rank:
                 raise ValueError("generator vector length does not match rank")
-
-    def zero(self) -> tuple[int, Vector]:
-        return (0, (0,) * self.rank)
+            if deg == 0 and any(vec):
+                raise ValueError(
+                    "degree-0 generator with nonzero payload"
+                    " makes graded pieces infinite"
+                )
 
 
 @dataclass(frozen=True)
 class GradedModuleGens:
     """Generators (degree, vertex) of the S-supported reachability module."""
 
-    support: SupportSet
     degree_bound: int
     generators: tuple[tuple[int, PeriodicVertex], ...]
 
@@ -68,7 +69,6 @@ class CoverReport:
 @dataclass(frozen=True)
 class ActionReport:
     ok: bool
-    support: SupportSet
     witness: tuple | None  # (monoid generator, module element, image) on failure
 
 
@@ -83,11 +83,20 @@ def all_support_sets(g: QuotientGraph) -> list[SupportSet]:
 
 
 def _cycle_data(g: QuotientGraph, cycle_cap: int) -> list:
-    """(support, weight, displacement) of every simple cycle."""
-    return [
-        (support(g, c), walk_weight(g, c), mu(g, chain_of_walk(c)))
-        for c in enumerate_cycles(g, cap=cycle_cap)
-    ]
+    """(support, weight, displacement) of every simple cycle.
+
+    A closed walk visits each of its orbits as the source of an edge, and
+    any lift of it moves by the sum of its edge shifts.
+    """
+    data = []
+    for c in enumerate_cycles(g, cap=cycle_cap):
+        edges = [g.edges[eid] for eid in c.edges]
+        data.append((
+            frozenset(e.src for e in edges),
+            sum(e.weight for e in edges),
+            tuple(map(sum, zip(*(e.shift for e in edges)))),
+        ))
+    return data
 
 
 def _monoid(rank: int, S: SupportSet, cycle_data) -> GradedMonoid:
@@ -154,12 +163,28 @@ def _support_groups(
 
 
 def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
-    """Generator degree bound W * (#S)^2 for the S-supported module."""
+    """Generator degree bound W * (#S)^2 for the S-supported module.
+
+    Proof by walk shortening.  Take a walk from the base with support
+    exactly S, k = #S, and cut it at the first visit of each of its k
+    orbits.  If an orbit repeats between two consecutive first visits, or
+    in the tail after the last, the stretch between the two nearest equal
+    orbits is a simple cycle inside S.  Removing it keeps every first
+    visit, so the support stays S; it lowers the weight by the cycle's
+    weight and moves the lift's end by minus the cycle's displacement,
+    which is one monoid generator.  A walk with no such repeat sees
+    distinct orbits, all among the j seen so far, from the j-th first visit
+    to the (j + 1)-th, so it takes at most j edges there and k - 1 in the
+    tail: (k - 1)(k + 2) / 2 edges in all.  Every module element is thus
+    the end of such a walk, of weight at most W * (k - 1)(k + 2) / 2 <=
+    W * k^2, moved by monoid generators (the degree step among them).  The
+    printed generators keep the looser W * k^2.
+    """
     return g.max_weight() * len(S) ** 2
 
 
 def _module_gens(
-    codec: VertexCodec, group, S: SupportSet, bound: int, exhaustive: bool
+    codec: VertexCodec, group, bound: int, exhaustive: bool
 ) -> GradedModuleGens:
     gens = []
     for key, d in group:
@@ -169,7 +194,7 @@ def _module_gens(
                 gens.extend((i, v) for i in range(d, bound + 1))
             else:
                 gens.append((d, v))
-    return GradedModuleGens(S, bound, tuple(sorted(gens)))
+    return GradedModuleGens(bound, tuple(sorted(gens)))
 
 
 def build_XS_generators(
@@ -189,15 +214,7 @@ def build_XS_generators(
     bound = module_degree_bound(g, S)
     codec = vertex_codec(g, x0, bound)
     group = _support_groups(g, codec, cap).get(S, [])
-    return _module_gens(codec, group, S, bound, exhaustive)
-
-
-def _check_degree_zero(generators, zero_payload) -> None:
-    for deg, payload in generators:
-        if deg == 0 and payload != zero_payload:
-            raise ValueError(
-                "degree-0 generator with nonzero payload makes graded pieces infinite"
-            )
+    return _module_gens(codec, group, bound, exhaustive)
 
 
 def module_elements_upto(
@@ -208,8 +225,6 @@ def module_elements_upto(
     cap: int = DEFAULT_BALL_CAP,
 ) -> set[tuple[int, PeriodicVertex]]:
     """All elements generator + monoid of degree <= degree."""
-    _check_degree_zero(monoid.generators, monoid.zero()[1])
-
     seen = {(d, y) for d, y in module_gens if d <= degree}
     frontier = list(seen)
     while frontier:
@@ -229,7 +244,7 @@ def module_elements_upto(
 
 
 def _action(
-    codec: VertexCodec, group, S: SupportSet, monoid: GradedMonoid, radius: int
+    codec: VertexCodec, group, monoid: GradedMonoid, radius: int
 ) -> ActionReport:
     """Check that every generator maps each least-weight element into the module.
 
@@ -240,9 +255,8 @@ def _action(
     generator only raises the degree at the same vertex and cannot fail.
     """
     reached = dict(group)
-    zero = monoid.zero()[1]
     for gd, gvec in sorted(monoid.generators):
-        if gvec == zero:
+        if not any(gvec):
             continue
         delta = codec.delta(gvec)
         # (d, key) is the lowest-degree module element at key; acting on it
@@ -256,8 +270,8 @@ def _action(
             y, key = min((codec.decode(key), key) for key in failing)
             d = reached[key]
             image = codec.decode(key + delta)
-            return ActionReport(False, S, ((gd, gvec), (d, y), (d + gd, image)))
-    return ActionReport(True, S, None)
+            return ActionReport(False, ((gd, gvec), (d, y), (d + gd, image)))
+    return ActionReport(True, None)
 
 
 def _min_degrees(
@@ -271,9 +285,8 @@ def _min_degrees(
     zero vector, the degree step (1, 0) among them, only raise the degree
     at the same vertex, so they never lower a least degree and are skipped.
     """
-    zero = monoid.zero()[1]
     table = step_table(
-        [[(codec.delta(gvec), gd) for gd, gvec in monoid.generators if gvec != zero]]
+        [[(codec.delta(gvec), gd) for gd, gvec in monoid.generators if any(gvec)]]
     )
     return dial_distances(
         starts, table, codec.radius, cap=cap, cap_what="module saturation"
@@ -332,8 +345,7 @@ def verify_cover(
     Cycles are enumerated once, the ball and the support-graded search run
     once, at the radius, and m_S takes one multi-source search per S.
     Every search runs on the packed keys of one `ball.VertexCodec`, sized
-    by the edges and every monoid generator (after the degree-0 check), so
-    all of them stay exact.  Keys are decoded to `PeriodicVertex` only for
+    by the edges and every monoid generator, so all of them stay exact.  Keys are decoded to `PeriodicVertex` only for
     the module generators, the `missing` and `extra` witnesses and the
     action witnesses.  `cap` bounds the vertices of each search: the ball,
     the support-graded states and the vertices reached per subset (not the
@@ -347,8 +359,6 @@ def verify_cover(
         )
     cycle_data = _cycle_data(g, cycle_cap)
     monoids = {S: _monoid(g.dim, S, cycle_data) for S in all_support_sets(g)}
-    for monoid in monoids.values():
-        _check_degree_zero(monoid.generators, monoid.zero()[1])
     moves = {gen for monoid in monoids.values() for gen in monoid.generators}
     codec = vertex_codec(g, x0, radius, moves)
     target = packed_distances(g, codec, cap=cap)
@@ -359,14 +369,14 @@ def verify_cover(
     for S, monoid in monoids.items():
         group = groups.get(S, [])
         bound = min(module_degree_bound(g, S), radius)
-        gens = _module_gens(codec, group, S, bound, exhaustive)
+        gens = _module_gens(codec, group, bound, exhaustive)
         starts = [(key, d) for key, d in group if d <= bound]
         piece = _min_degrees(codec, monoid, starts, cap)
         sizes[S] = _pair_count(piece, radius)
         for key, d in piece.items():
             if union.get(key, d + 1) > d:
                 union[key] = d
-        blocks.append((S, monoid, gens, _action(codec, group, S, monoid, radius)))
+        blocks.append((S, monoid, gens, _action(codec, group, monoid, radius)))
     return CoverReport(
         ok=union == target,
         radius=radius,
@@ -396,4 +406,4 @@ def verify_module_action(
         monoid = build_MS(g, S)
     codec = vertex_codec(g, x0, radius, monoid.generators)
     group = _support_groups(g, codec, cap).get(S, [])
-    return _action(codec, group, S, monoid, radius)
+    return _action(codec, group, monoid, radius)

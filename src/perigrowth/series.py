@@ -130,7 +130,6 @@ class RationalSeries:
     numerator: tuple[int, ...]
     factors: tuple[tuple[int, int], ...]
     verified_through: int
-    canonical: bool = False
 
     def numerator_degree(self) -> int:
         return len(poly_trim(list(self.numerator))) - 1
@@ -207,7 +206,7 @@ def canonicalize(rs: RationalSeries) -> RationalSeries:
     """
     num = poly_trim(list(rs.numerator))
     if not num:
-        return replace(rs, numerator=(), factors=(), canonical=True)
+        return replace(rs, numerator=(), factors=())
     left: dict[int, int] = {}  # d -> how many psi_d the denominator still holds
     for w, e in rs.factors:
         for _ in range(e):
@@ -233,9 +232,7 @@ def canonicalize(rs: RationalSeries) -> RationalSeries:
                 left[e] -= 1
             else:
                 num = _multiply(num, *_psi(e))
-    reduced = replace(
-        rs, numerator=tuple(num), factors=merge_factors(factors), canonical=True
-    )
+    reduced = replace(rs, numerator=tuple(num), factors=merge_factors(factors))
     # reduction must not change the expansion
     if expand_series(reduced, rs.verified_through) != expand_series(
         rs, rs.verified_through
@@ -256,13 +253,12 @@ def _escalate(fit, factors):
 
 
 def fit_univariate_auto(
-    terms, factors, *, margin: int = DEFAULT_MARGIN, canonical: bool = False
+    terms, factors, *, margin: int = DEFAULT_MARGIN
 ) -> RationalSeries:
-    """The univariate fit on the escalation ladder, canonicalized on request."""
-    fit = _escalate(
+    """The univariate fit on the escalation ladder."""
+    return _escalate(
         lambda f: fit_univariate(terms, f, margin=margin), merge_factors(factors)
     )
-    return canonicalize(fit) if canonical else fit
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +361,6 @@ class MultivariateRationalSeries:
     numerator: dict[tuple[int, ...], int]
     factors: tuple[tuple[tuple[int, ...], int], ...]
     verified_box: tuple[int, ...]
-
-    def denominator_degrees(self) -> tuple[int, ...]:
-        totals = [0] * self.arity
-        for w, e in self.factors:
-            for i, c in enumerate(w):
-                totals[i] += c * e
-        return tuple(totals)
 
     def numerator_degrees(self) -> tuple[int, ...]:
         degs = [0] * self.arity

@@ -29,13 +29,18 @@ from .walks import cycle_weights
 
 Matrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_ORDER_CAP = 64
+ORDER_CAP = 64
+SOLVE_BOX_CAP = 2_000_000
 
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
     vec: Vector
     part: int
+
+    def __str__(self) -> str:
+        """The `(v1,...,vn;part)` notation of `.set` files and `vag solve`."""
+        return "(" + ",".join(map(str, self.vec)) + f";{self.part})"
 
 
 @dataclass(frozen=True)
@@ -97,14 +102,14 @@ def _det(matrix: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def validate_group(group: VAGroup, *, order_cap: int = DEFAULT_ORDER_CAP) -> list[str]:
+def validate_group(group: VAGroup) -> list[str]:
     """Exhaustively check the extension axioms; empty report means valid."""
     report = []
     k, n = group.order, group.rank
     if k < 1:
         return [f"order {k} must be positive"]
-    if k > order_cap:
-        return [f"order {k} exceeds the cap {order_cap}"]
+    if k > ORDER_CAP:
+        return [f"order {k} exceeds the cap {ORDER_CAP}"]
     if n < 0:
         report.append(f"negative rank {n}")
     if len(group.mult) != k or any(len(row) != k for row in group.mult):
@@ -256,8 +261,6 @@ def solve_box(
     arity: int,
     words: list[EquationWord],
     radius: int,
-    *,
-    cap: int = 2_000_000,
 ) -> list[tuple[GroupElement, ...]]:
     """All solution tuples with every lattice coordinate in [-radius, radius].
 
@@ -268,9 +271,9 @@ def solve_box(
         raise InputError("box radius must be nonnegative")
     per_coordinate = (2 * radius + 1) ** group.rank * group.order
     total = per_coordinate**arity
-    if total > cap:
+    if total > SOLVE_BOX_CAP:
         raise GuardError(
-            f"box enumeration would visit {total} tuples, cap is {cap}"
+            f"box enumeration would visit {total} tuples, cap is {SOLVE_BOX_CAP}"
         )
     coords = [
         GroupElement(vec, part)
@@ -405,7 +408,8 @@ def enumerate_monoid_module_set(
             overlap = seen_by_piece[i] & seen_by_piece[j]
             if overlap:
                 raise DisjointnessError(
-                    f"pieces {i} and {j} overlap at {sorted(overlap)[0]}"
+                    f"pieces {i} and {j} overlap at"
+                    f" {' '.join(map(str, sorted(overlap)[0]))}"
                 )
     union = set().union(*seen_by_piece) if seen_by_piece else set()
     return sorted(union)

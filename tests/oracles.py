@@ -177,8 +177,8 @@ def reference_action(sdist, S, monoid, radius: int) -> ActionReport:
             image = translate(y, gvec)
             di = reached.get(image)
             if di is None or di > nd:
-                return ActionReport(False, S, ((gd, gvec), (d, y), (nd, image)))
-    return ActionReport(True, S, None)
+                return ActionReport(False, ((gd, gvec), (d, y), (nd, image)))
+    return ActionReport(True, None)
 
 
 def lift_endpoint(g, edges, x0) -> tuple:

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the library has a caller.
+"""Every public top-level function and class of the library, and every
+public method of such a class, has a caller.
 
 A caller is a reference from library code (another module, or the defining
 module outside the definition itself), from the oracles or the acceptance
@@ -42,10 +43,17 @@ def referenced_names(tree, skip=None) -> set[str]:
 
 
 def public_definitions(tree):
+    """(qualified name, node) of the public functions, classes and methods."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
 
 
 def test_every_public_helper_has_a_caller():
@@ -66,8 +74,8 @@ def test_every_public_helper_has_a_caller():
         for other, other_tree in modules.items():
             if other != path:
                 elsewhere |= referenced_names(other_tree)
-        for node in public_definitions(tree):
+        for name, node in public_definitions(tree):
             if node.name in elsewhere | ALLOWED | referenced_names(tree, skip=node):
                 continue
-            uncalled.append(f"{path.stem}.{node.name}")
+            uncalled.append(f"{path.stem}.{name}")
     assert not uncalled, f"no caller: {uncalled}"

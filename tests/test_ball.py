@@ -139,8 +139,8 @@ def test_ball_matches_heap_dijkstra(case):
         # ceil(5/3) = 2 per degree on the first axis, the edges' 1 on the second
         pytest.param({(3, (-5, 2))}, (6, 3), id="slow-move"),
         pytest.param({(1, (7, 7)), (1, (-5, 2))}, (21, 21), id="fast-moves"),
-        # a degree-0 move widens the layout once, by its own length
-        pytest.param({(0, (4, -1))}, (7, 4), id="degree-0"),
+        # a move that stays put, of any degree, leaves the layout alone
+        pytest.param({(0, (0, 0)), (2, (0, 0))}, (3, 3), id="degree-0"),
     ],
 )
 def test_codec_round_trips_at_the_radius_edge(honeycomb, moves, reach):
@@ -157,6 +157,19 @@ def test_codec_round_trips_at_the_radius_edge(honeycomb, moves, reach):
             assert codec.decode(key) == v
             keys.add(key)
     assert len(keys) == 2 * 9
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        pytest.param((0, (4, -1)), id="degree-0"),
+        pytest.param((-1, (0, 1)), id="negative-degree"),
+    ],
+)
+def test_codec_rejects_a_moving_move_below_degree_1(honeycomb, move):
+    # a degree-0 move has no per-degree bound for the layout
+    with pytest.raises(ValueError, match="degree at least 1"):
+        vertex_codec(honeycomb, honeycomb.vertex(0), 3, {move})
 
 
 def test_edgeless_growth():

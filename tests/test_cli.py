@@ -436,6 +436,27 @@ def test_dependent_ugens_exit_2(capsys, tmp_path, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("arity 1\npiece\nshift (1;1)\npiece\nugen 1\nshift (0;1)\n",
+                     "pieces 0 and 1 overlap at (1;1)", id="arity-1"),
+        pytest.param("arity 2\npiece\nshift (1;1) (0;0)\n"
+                     "piece\nugen 1 0\nshift (-2;1) (0;0)\n",
+                     "pieces 0 and 1 overlap at (1;1) (0;0)", id="arity-2"),
+    ],
+)
+def test_overlapping_pieces_exit_2_in_set_notation(capsys, tmp_path, text, message):
+    # the overlap is named in the (v;part) notation of `.set` files
+    path = tmp_path / "s.set"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "vag", "relative", data_path("dinf.vag"), str(path), "--upto", "4"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "x"
     code, out, err = run_cli(

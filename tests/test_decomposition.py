@@ -261,6 +261,22 @@ def test_cover_by_least_degrees_matches_pair_sets(case):
     assert_matches_pair_sets(report, g, x0, radius, max_witnesses)
 
 
+def shortened_walk_bound(g, S):
+    """W * (k - 1)(k + 2) / 2, the proved length of a walk with no cycle to cut."""
+    k = len(S)
+    return g.max_weight() * (k - 1) * (k + 2) // 2
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(plane_covers())
+def test_cover_holds_at_the_proved_degree_bound(case):
+    # the bound W * |S|^2 is a relaxation of the walk-shortening bound
+    g, x0, radius, exhaustive, _ = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decomposition, "module_degree_bound", shortened_walk_bound)
+        assert verify_cover(g, x0, radius, exhaustive=exhaustive).ok
+
+
 def test_cover_holds_far_above_the_degree_bound():
     # the pieces are generated below W * n^2; check the cover at a radius
     # three times that, where a missing generator could no longer hide
@@ -342,14 +358,12 @@ def test_packed_action_matches_reference(case, generator):
         assert action == reference_action(sdist, S, monoid, radius)
 
 
-def test_module_action_with_degree_zero_generator_matches_reference(honeycomb):
-    # a degree-0 move is applied once, at the element's own degree
-    x0, radius = V(1, (2, -1)), 5
-    sdist = support_state_distances(honeycomb, x0, radius)
-    for S in all_support_sets(honeycomb):
-        monoid = GradedMonoid(2, build_MS(honeycomb, S).generators + ((0, (4, -3)),))
-        report = verify_module_action(honeycomb, x0, S, radius, monoid=monoid)
-        assert report == reference_action(sdist, S, monoid, radius)
+def test_graded_monoid_rejects_degree_zero_move():
+    # a degree-0 generator that moves the vertex makes every graded piece
+    # infinite, so no monoid may hold one
+    with pytest.raises(ValueError, match="degree-0"):
+        GradedMonoid(2, ((1, (0, 0)), (0, (4, -3))))
+    assert GradedMonoid(2, ((0, (0, 0)), (1, (0, 0)))).generators
 
 
 @st.composite

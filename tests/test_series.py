@@ -330,9 +330,7 @@ def test_specialize_d1_identity():
 def test_series_text_round_trip(z_pm):
     terms = growth_sequence(z_pm, z_pm.vertex(0), 25).terms
     fit = canonicalize(fit_univariate(terms, default_denominator(z_pm)))
-    assert series_from_text(series_to_text(fit)) == RationalSeries(
-        fit.numerator, fit.factors, fit.verified_through
-    )
+    assert series_from_text(series_to_text(fit)) == fit
     ms = MultivariateRationalSeries(
         2, {(0, 0): 1, (1, 1): 1}, (((1, 1), 1),), (12, 12)
     )

@@ -2,16 +2,10 @@ import random
 
 import pytest
 
+from perigrowth.decomposition import _cycle_data
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.series import default_denominator
-from perigrowth.walks import (
-    Cycle,
-    chain_of_walk,
-    cycle_weights,
-    enumerate_cycles,
-    mu,
-    support,
-)
+from perigrowth.walks import cycle_weights, enumerate_cycles
 
 from conftest import SEED
 from oracles import brute_force_cycles, lift_endpoint
@@ -67,52 +61,22 @@ def test_cycles_match_brute_force(square, honeycomb, z_pm, triangle):
         assert got == expected
 
 
-def test_chain_of_walk(triangle):
-    # edge ids: 0, 1 a->b; 2 b->c; 3 c->a; 4 b->a; 5 the loop at c
-    cycles = {c.edges: c for c in enumerate_cycles(triangle)}
-    assert chain_of_walk(cycles[(0, 2, 3)]) == {0: 1, 2: 1, 3: 1}
-    assert chain_of_walk(cycles[(1, 4)]) == {1: 1, 4: 1}
-    assert chain_of_walk(cycles[(5,)]) == {5: 1}
-
-
-def test_mu_single_loop(square):
-    assert mu(square, {0: 1}) == (1, 0)
-
-
-def test_mu_two_cycle_matches_lift(honeycomb):
-    cycle = Cycle((1, 3))  # a->b shift (1,0), b->a shift (0,0)
-    displacement = mu(honeycomb, chain_of_walk(cycle))
-    start = PeriodicVertex(honeycomb.edges[cycle.edges[0]].src, (0, 0))
-    orbit, end = lift_endpoint(honeycomb, cycle.edges, start)
-    assert orbit == start.orbit
-    assert displacement == tuple(e - s for e, s in zip(end, start.coord))
-    assert displacement == (1, 0)
-
-
-def test_mu_opposite_loops_cancel(square):
-    assert mu(square, {0: 1, 1: 1}) == (0, 0)
-
-
-def test_mu_equals_lift_displacement_for_all_cycles(square, honeycomb, z_pm, triangle):
+def test_cycle_data_matches_lifts(square, honeycomb, z_pm, triangle):
+    # each cycle's lift from a random start returns to its orbit, displaced
+    # by what `_cycle_data` reports; support and weight read off the lift
     rng = random.Random(SEED)
     for g in (square, honeycomb, z_pm, triangle):
-        for cycle in enumerate_cycles(g):
-            start_orbit = g.edges[cycle.edges[0]].src
+        cycles = enumerate_cycles(g)
+        data = _cycle_data(g, 1_000_000)
+        assert len(data) == len(cycles)
+        for cycle, (sup, weight, displacement) in zip(cycles, data):
             x0 = PeriodicVertex(
-                start_orbit, tuple(rng.randint(-4, 4) for _ in range(g.dim))
+                g.edges[cycle.edges[0]].src,
+                tuple(rng.randint(-4, 4) for _ in range(g.dim)),
             )
-            _, end = lift_endpoint(g, cycle.edges, x0)
-            displacement = tuple(e - s for e, s in zip(end, x0.coord))
-            assert displacement == mu(g, chain_of_walk(cycle))
-
-
-def test_mu_rejects_non_homology(honeycomb):
-    with pytest.raises(ValueError, match="homology"):
-        mu(honeycomb, {0: 1})  # a single a->b edge has nonzero boundary
-
-
-def test_support(triangle):
-    cycles = {c.edges: c for c in enumerate_cycles(triangle)}
-    assert support(triangle, cycles[(0, 4)]) == {0, 1}
-    assert support(triangle, cycles[(1, 2, 3)]) == {0, 1, 2}
-    assert support(triangle, cycles[(5,)]) == {2}
+            ends = [lift_endpoint(g, cycle.edges[:i], x0) for i in range(len(cycle) + 1)]
+            orbit, coord = ends[-1]
+            assert orbit == x0.orbit
+            assert displacement == tuple(e - s for e, s in zip(coord, x0.coord))
+            assert sup == {o for o, _ in ends}
+            assert weight == sum(g.edges[eid].weight for eid in cycle.edges)
