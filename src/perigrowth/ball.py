@@ -64,12 +64,6 @@ class DistanceMap:
 
 
 @dataclass(frozen=True)
-class GrowthSequence:
-    base: PeriodicVertex
-    terms: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RelativeCountTable:
     """Exact per-multidegree counts of a tuple set, at and below each degree.
 
@@ -77,8 +71,6 @@ class RelativeCountTable:
     componentwise; counts_cumulative[a] counts those bounded by a.
     """
 
-    arity: int
-    box: tuple[int, ...]
     counts_exact: dict[tuple[int, ...], int]
     counts_cumulative: dict[tuple[int, ...], int]
 
@@ -187,13 +179,13 @@ def growth_sequence(
     radius: int,
     *,
     cap: int = DEFAULT_BALL_CAP,
-) -> GrowthSequence:
+) -> tuple[int, ...]:
     """Number of vertices at each exact distance 0..radius."""
     dist = packed_distances(g, vertex_codec(g, x0, radius), cap=cap)
     terms = [0] * (radius + 1)
     for d in dist.values():
         terms[d] += 1
-    return GrowthSequence(x0, tuple(terms))
+    return tuple(terms)
 
 
 def graded_growth_slice(
@@ -252,4 +244,4 @@ def relative_counts(
     cumulative = expand_mv_series(
         MultivariateRationalSeries(arity, exact, units, tuple(box)), box
     )
-    return RelativeCountTable(arity, tuple(box), exact, cumulative)
+    return RelativeCountTable(exact, cumulative)

@@ -37,6 +37,8 @@ def _read(path: str) -> str:
 
 def _parse_base(g, value: str | None) -> PeriodicVertex:
     if value is None:
+        if not g.num_orbits:
+            raise InputError("the graph has no vertex to start from")
         return g.vertex(0)
     name, _, coords = value.partition(":")
     orbit = g.orbit_index(name)
@@ -123,17 +125,17 @@ def cmd_pg_validate(args) -> int:
 def cmd_pg_growth(args) -> int:
     g = _load_pg(args.file)
     base = _parse_base(g, args.base)
-    seq = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
-    _emit(args, [FORMAT_HEADER, ",".join(str(t) for t in seq.terms)])
+    terms = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
+    _emit(args, [FORMAT_HEADER, ",".join(map(str, terms))])
     return EXIT_OK
 
 
 def cmd_pg_series(args) -> int:
     g = _load_pg(args.file)
     base = _parse_base(g, args.base)
-    seq = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
+    terms = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
     factors = series.default_denominator(g, cycle_cap=args.max_cycles)
-    fit = series.fit_univariate_auto(seq.terms, factors, margin=args.margin)
+    fit = series.fit_univariate_auto(terms, factors, margin=args.margin)
     if args.canonical:
         fit = series.canonicalize(fit)
     _emit(args, [FORMAT_HEADER] + _series_lines(fit))
@@ -202,8 +204,8 @@ def cmd_vag_cayley(args) -> int:
 def cmd_vag_growth(args) -> int:
     group, gens = _load_vag(args.file)
     graph, base = vab.build_cayley(group, gens)
-    seq = ball.growth_sequence(graph, base, args.upto, cap=args.max_ball)
-    _emit(args, [FORMAT_HEADER, ",".join(str(t) for t in seq.terms)])
+    terms = ball.growth_sequence(graph, base, args.upto, cap=args.max_ball)
+    _emit(args, [FORMAT_HEADER, ",".join(map(str, terms))])
     return EXIT_OK
 
 

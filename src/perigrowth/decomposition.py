@@ -90,7 +90,7 @@ def _cycle_data(g: QuotientGraph, cycle_cap: int) -> list:
     """
     data = []
     for c in enumerate_cycles(g, cap=cycle_cap):
-        edges = [g.edges[eid] for eid in c.edges]
+        edges = [g.edges[eid] for eid in c]
         data.append((
             frozenset(e.src for e in edges),
             sum(e.weight for e in edges),

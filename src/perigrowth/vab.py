@@ -78,30 +78,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _det(matrix: Matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def validate_group(group: VAGroup) -> list[str]:
     """Exhaustively check the extension axioms; empty report means valid."""
     report = []
@@ -146,7 +122,10 @@ def validate_group(group: VAGroup) -> list[str]:
     if group.action[0] != _identity_matrix(n):
         report.append("action of the identity is not the identity matrix")
     for f, mat in enumerate(group.action):
-        if _det(mat) not in (1, -1):
+        # an integer matrix has an integer inverse exactly when |det| = 1,
+        # that is when its elimination needs no scaling
+        elimination = _eliminate(list(mat), n)
+        if elimination is None or elimination[1] != 1:
             report.append(f"action matrix {f} is not invertible over the integers")
     for f in range(k):
         for g in range(k):
@@ -235,18 +214,14 @@ def build_cayley(
 
 
 Token = tuple[str, int] | tuple[str, GroupElement]
-
-
-@dataclass(frozen=True)
-class EquationWord:
-    tokens: tuple[Token, ...]
+Word = tuple[Token, ...]
 
 
 def evaluate_word(
-    group: VAGroup, word: EquationWord, assignment: tuple[GroupElement, ...]
+    group: VAGroup, word: Word, assignment: tuple[GroupElement, ...]
 ) -> GroupElement:
     value = group.identity()
-    for kind, payload in word.tokens:
+    for kind, payload in word:
         if kind == "var":
             value = multiply(group, value, assignment[payload - 1])
         elif kind == "inv":
@@ -259,7 +234,7 @@ def evaluate_word(
 def solve_box(
     group: VAGroup,
     arity: int,
-    words: list[EquationWord],
+    words: list[Word],
     radius: int,
 ) -> list[tuple[GroupElement, ...]]:
     """All solution tuples with every lattice coordinate in [-radius, radius].
@@ -522,12 +497,6 @@ def _int_tokens(tokens, lineno, what):
         raise FormatError(f"{what} must be integers", lineno) from None
 
 
-def _int_vector(body: str, lineno, what) -> Vector:
-    """The comma-separated integers of a `(...;f)` or `[...;f]` token body."""
-    body = body.strip()
-    return tuple(_int_tokens(body.split(","), lineno, what)) if body else ()
-
-
 def _part_index(tokens, at: int, name: str, order: int, lineno) -> int:
     """The finite-part index in the `<name>=<i>` token at position `at`."""
     m = re.fullmatch(rf"{name}=(\d+)", tokens[at]) if at < len(tokens) else None
@@ -640,25 +609,34 @@ def parse_vag(text: str) -> tuple[VAGroup, list[WeightedGenerator]]:
     return VAGroup(rank, order, mult, tuple(matrices), table), gens
 
 
-_CONST_RE = re.compile(r"\[([0-9,\s-]*);(\d+)\]")
+_ELEMENT_RE = {
+    "constant": re.compile(r"\[([0-9,\s-]*);(\d+)\]"),
+    "shift": re.compile(r"\(([0-9,\s-]*);(\d+)\)"),
+}
 
 
-def _parse_const(token: str, rank: int, lineno: int) -> GroupElement:
-    m = _CONST_RE.fullmatch(token)
+def _parse_element(token: str, what: str, group: VAGroup, lineno) -> GroupElement:
+    """A `[v1,...,vn;part]` constant or `(v1,...,vn;part)` shift token."""
+    m = _ELEMENT_RE[what].fullmatch(token)
     if not m:
-        raise FormatError(f"bad constant token {token!r}", lineno)
-    vec = _int_vector(m.group(1), lineno, "constant vector entries")
-    if len(vec) != rank:
+        raise FormatError(f"bad {what} token {token!r}", lineno)
+    body = m.group(1).strip()
+    entries = body.split(",") if body else []
+    vec = tuple(_int_tokens(entries, lineno, f"{what} vector entries"))
+    if len(vec) != group.rank:
         raise FormatError(
-            f"constant vector has length {len(vec)}, rank is {rank}", lineno
+            f"{what} vector has length {len(vec)}, rank is {group.rank}", lineno
         )
-    return GroupElement(vec, int(m.group(2)))
+    part = int(m.group(2))
+    if part >= group.order:
+        raise FormatError(f"{what} part {part} out of range", lineno)
+    return GroupElement(vec, part)
 
 
-def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[EquationWord]]:
+def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[Word]]:
     """Parse the `.eqn` format: vars count plus one word per line."""
     arity = None
-    words: list[EquationWord] = []
+    words: list[Word] = []
     for lineno, tokens in _tokenize(text):
         if tokens[0] == "vars":
             if arity is not None:
@@ -680,16 +658,14 @@ def parse_eqn(text: str, group: VAGroup) -> tuple[int, list[EquationWord]]:
                         )
                     parsed.append(("inv" if m.group(2) else "var", index))
                 else:
-                    parsed.append(("const", _parse_const(token, group.rank, lineno)))
-            words.append(EquationWord(tuple(parsed)))
+                    const = _parse_element(token, "constant", group, lineno)
+                    parsed.append(("const", const))
+            words.append(tuple(parsed))
         else:
             raise FormatError(f"unknown directive {tokens[0]!r}", lineno)
     if arity is None:
         raise FormatError("missing vars directive")
     return arity, words
-
-
-_SHIFT_RE = re.compile(r"\(([0-9,\s-]*);(\d+)\)")
 
 
 def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
@@ -741,22 +717,9 @@ def parse_set(text: str, group: VAGroup) -> MonoidModuleSet:
                 raise FormatError("piece has two shift lines", lineno)
             if len(tokens) != arity + 1:
                 raise FormatError(f"shift needs {arity} tuples", lineno)
-            parts = []
-            for token in tokens[1:]:
-                m = _SHIFT_RE.fullmatch(token)
-                if not m:
-                    raise FormatError(f"bad shift token {token!r}", lineno)
-                vec = _int_vector(m.group(1), lineno, "shift vector entries")
-                if len(vec) != group.rank:
-                    raise FormatError(
-                        f"shift vector has length {len(vec)}, rank is {group.rank}",
-                        lineno,
-                    )
-                part = int(m.group(2))
-                if not 0 <= part < group.order:
-                    raise FormatError(f"shift part {part} out of range", lineno)
-                parts.append(GroupElement(vec, part))
-            current_shift = tuple(parts)
+            current_shift = tuple(
+                _parse_element(token, "shift", group, lineno) for token in tokens[1:]
+            )
         else:
             raise FormatError(f"unknown directive {key!r}", lineno)
     close()

@@ -9,24 +9,8 @@ invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceLimitError
 from .periodic_graph import QuotientGraph
-
-
-@dataclass(frozen=True, order=True)
-class Cycle:
-    """A simple directed cycle, stored in its least edge-id rotation."""
-
-    edges: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def walk_weight(g: QuotientGraph, c: Cycle) -> int:
-    return sum(g.edges[eid].weight for eid in c.edges)
 
 
 def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
@@ -34,14 +18,17 @@ def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
     return min(rotations)
 
 
-def enumerate_cycles(g: QuotientGraph, *, cap: int = 1_000_000) -> list[Cycle]:
+def enumerate_cycles(
+    g: QuotientGraph, *, cap: int = 1_000_000
+) -> list[tuple[int, ...]]:
     """All simple directed cycles of the quotient, deduplicated and sorted.
 
-    Depth-first search rooted at each orbit in turn, visiting only orbits
+    Each cycle is its edge ids in their least rotation, and the list is
+    sorted by (length, edges).  Depth-first search rooted at each orbit in turn, visiting only orbits
     of larger index, so every cycle is discovered exactly once at its
     minimal orbit.  Loops and parallel edges give distinct cycles.
     """
-    found: set[Cycle] = set()
+    found: set[tuple[int, ...]] = set()
     n = g.num_orbits
     for start in range(n):
         # stack entries: (current orbit, path of edge ids, visited orbit set)
@@ -50,16 +37,18 @@ def enumerate_cycles(g: QuotientGraph, *, cap: int = 1_000_000) -> list[Cycle]:
             orbit, path, visited = stack.pop()
             for eo in g.out_edges(orbit):
                 if eo.dst == start:
-                    found.add(Cycle(_canonical_rotation(path + (eo.id,))))
+                    found.add(_canonical_rotation(path + (eo.id,)))
                     if len(found) > cap:
                         raise ResourceLimitError(
                             f"more than {cap} cycles; raise the cycle cap"
                         )
                 elif eo.dst > start and eo.dst not in visited:
                     stack.append((eo.dst, path + (eo.id,), visited | {eo.dst}))
-    return sorted(found, key=lambda c: (len(c.edges), c.edges))
+    return sorted(found, key=lambda c: (len(c), c))
 
 
 def cycle_weights(g: QuotientGraph, *, cap: int = 1_000_000) -> list[int]:
     """The weight of every simple cycle, in `enumerate_cycles` order."""
-    return [walk_weight(g, c) for c in enumerate_cycles(g, cap=cap)]
+    return [
+        sum(g.edges[eid].weight for eid in c) for c in enumerate_cycles(g, cap=cap)
+    ]

@@ -100,9 +100,9 @@ def test_acceptance_2_honeycomb(capsys):
         g = parse_periodic_graph(data_text("honeycomb.pg"))
         oracle = honeycomb_patch_growth(60)
         assert oracle[0] == 1 and all(oracle[i] == 3 * i for i in range(1, 51))
-        seq = growth_sequence(g, g.vertex(0), 60)
-        assert list(seq.terms) == oracle
-        fit = canonicalize(fit_univariate(seq.terms, default_denominator(g)))
+        terms = growth_sequence(g, g.vertex(0), 60)
+        assert list(terms) == oracle
+        fit = canonicalize(fit_univariate(terms, default_denominator(g)))
         assert fit.verified_through == 60
         assert expand_series(fit, 60) == oracle
         qp = quasi_polynomial(fit)
@@ -114,9 +114,9 @@ def test_acceptance_2_honeycomb(capsys):
 def test_acceptance_3_one_way_series(capsys):
     with capsys.disabled(), criterion(3, "one-way lattice series is 1/(1-t)"):
         g = parse_periodic_graph(data_text("z_oneway.pg"))
-        seq = growth_sequence(g, g.vertex(0), 25)
-        assert list(seq.terms) == [1] * 26  # analytic: one new vertex per step
-        fit = canonicalize(fit_univariate(seq.terms, default_denominator(g)))
+        terms = growth_sequence(g, g.vertex(0), 25)
+        assert list(terms) == [1] * 26  # analytic: one new vertex per step
+        fit = canonicalize(fit_univariate(terms, default_denominator(g)))
         assert fit.numerator == (1,)
         assert fit.factors == ((1, 1),)
 
@@ -131,9 +131,9 @@ def test_acceptance_4_dihedral_generating_sets(capsys):
         oracle = growth_from_weights(word_weights(group, reflections, 12), 12)
         assert oracle == [1] + [2] * 12
         graph, base = build_cayley(group, reflections)
-        assert list(growth_sequence(graph, base, 12).terms) == oracle
+        assert list(growth_sequence(graph, base, 12)) == oracle
         fit = canonicalize(
-            fit_univariate(growth_sequence(graph, base, 30).terms, ((1, 3),))
+            fit_univariate(growth_sequence(graph, base, 30), ((1, 3),))
         )
         assert fit.numerator == (1, 1)  # (1 + t) / (1 - t)
         assert fit.factors == ((1, 1),)
@@ -152,7 +152,7 @@ def test_acceptance_5_klein_bottle(capsys):
         graph, base = build_cayley(group, gens)
         window = 25
         extra = 15
-        terms = growth_sequence(graph, base, window + extra).terms
+        terms = growth_sequence(graph, base, window + extra)
         fit = fit_univariate_auto(terms[: window + 1], default_denominator(graph))
         expansion = expand_series(fit, window + extra)
         assert expansion[window + 1 :] == list(terms[window + 1 :])
@@ -254,7 +254,7 @@ def test_acceptance_9_fit_honesty(capsys):
             graph, base = build_cayley(group, gens)
             cases.append((name, graph, base, 30))
         for name, g, base, window in cases:
-            terms = growth_sequence(g, base, window + surplus).terms
+            terms = growth_sequence(g, base, window + surplus)
             fit = fit_univariate_auto(terms[: window + 1], default_denominator(g))
             tail = expand_series(fit, window + surplus)[window + 1 :]
             assert tail == list(terms[window + 1 :]), name

@@ -1,5 +1,6 @@
 """Every public top-level function and class of the library, and every
-public method of such a class, has a caller.
+public method of such a class, has a caller; and every name the package
+root re-exports is imported from it by someone.
 
 A caller is a reference from library code (another module, or the defining
 module outside the definition itself), from the oracles or the acceptance
@@ -79,3 +80,24 @@ def test_every_public_helper_has_a_caller():
                 continue
             uncalled.append(f"{path.stem}.{name}")
     assert not uncalled, f"no caller: {uncalled}"
+
+
+def test_package_root_exports_only_what_is_imported_from_it():
+    # `from perigrowth import ball` reaches a submodule, not an export
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    importers = [SRC / "cli.py", ROOT / "perfbench" / "child.py"]
+    importers += sorted((ROOT / "tests").glob("*.py"))
+    imported = {
+        alias.name
+        for path in importers
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "perigrowth"
+        for alias in node.names
+    }
+    unused = sorted(exported - imported)
+    assert not unused, f"imported from no caller: {unused}"

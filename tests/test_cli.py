@@ -369,6 +369,17 @@ def test_bad_arguments_exit_2(capsys, argv, message):
     assert out == ""
 
 
+def test_graph_without_vertex_exits_2_on_searches(capsys, tmp_path):
+    path = tmp_path / "empty.pg"
+    path.write_text("dim 1\n")
+    code, out, err = run_cli(capsys, "pg", "validate", str(path))
+    assert (code, out, err) == (0, "perigrowth-format 1\nvalid\n", "")
+    for command in ("growth", "series", "decompose"):
+        code, out, err = run_cli(capsys, "pg", command, str(path), "--upto", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: the graph has no vertex to start from\n"
+
+
 DINF_HEAD = "rank 1\nfinite 2\nmult 0 1 1 0\n"
 
 
@@ -397,6 +408,8 @@ DINF_HEAD = "rank 1\nfinite 2\nmult 0 1 1 0\n"
         pytest.param("e.eqn", "vars 1\nword X1 [-;0]\n",
                      "line 2: constant vector entries must be integers",
                      id="constant-entry"),
+        pytest.param("e.eqn", "vars 1\nword X1 [0;5]\n",
+                     "line 2: constant part 5 out of range", id="constant-part"),
         pytest.param("s.set", "arity 1\npiece\nugen 2\nshift (0;0)\narity 2\n",
                      "line 5: duplicate arity directive", id="duplicate-arity"),
         pytest.param("e.eqn", "vars 1\nword X1 X1\nvars 2\n",

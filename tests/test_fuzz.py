@@ -19,7 +19,7 @@ from perigrowth.cli import main
 from conftest import data_path, data_text
 
 CAPS = ["--max-ball", "20000", "--max-cycles", "1000"]
-MALFORMED = ["-", "x", "-1", "0", "(-;0)", "[-;0]"]
+MALFORMED = ["-", "x", "-1", "0", "(-;0)", "[-;0]", "(0;9)", "[0;9]"]
 
 # input file -> commands run on its mutant, with {} standing for the mutant
 COMMANDS = {

@@ -63,7 +63,7 @@ def test_fit_constant_ones():
 
 
 def test_fit_square_canonical(square):
-    terms = growth_sequence(square, square.vertex(0), 50).terms
+    terms = growth_sequence(square, square.vertex(0), 50)
     # oracle first: (1+t)^2/(1-t)^2 expands to 1, 4i
     closed = RationalSeries((1, 2, 1), ((1, 2),), 50)
     assert expand_series(closed, 50) == list(terms)
@@ -74,7 +74,7 @@ def test_fit_square_canonical(square):
 
 
 def test_fit_honeycomb_canonical(honeycomb):
-    terms = growth_sequence(honeycomb, honeycomb.vertex(0), 60).terms
+    terms = growth_sequence(honeycomb, honeycomb.vertex(0), 60)
     assert list(terms) == honeycomb_patch_growth(60)
     fit = canonicalize(fit_univariate(terms, default_denominator(honeycomb)))
     assert fit.numerator == (1, 1, 1)
@@ -110,7 +110,7 @@ def test_evaluate_examples():
 
 
 def test_evaluate_matches_fit_terms(z_pm):
-    terms = growth_sequence(z_pm, z_pm.vertex(0), 25).terms
+    terms = growth_sequence(z_pm, z_pm.vertex(0), 25)
     fit = fit_univariate(terms, default_denominator(z_pm))
     assert expand_series(fit, 25) == list(terms)
 
@@ -210,7 +210,7 @@ def test_quasi_polynomial_geometric():
 
 
 def test_quasi_polynomial_matches_series_everywhere(honeycomb):
-    terms = growth_sequence(honeycomb, honeycomb.vertex(0), 40).terms
+    terms = growth_sequence(honeycomb, honeycomb.vertex(0), 40)
     fit = canonicalize(fit_univariate(terms, default_denominator(honeycomb)))
     qp = quasi_polynomial(fit)
     for i, term in enumerate(expand_series(fit, fit.verified_through)):
@@ -233,7 +233,7 @@ def test_fit_multivariate_diagonal(z_pm):
 
 def test_fit_multivariate_d1_matches_univariate(square):
     base = square.vertex(0)
-    terms = growth_sequence(square, base, 20).terms
+    terms = growth_sequence(square, base, 20)
     dm = distances_upto(square, base, 20)
     table = relative_counts(dm, [(v,) for v in dm.entries], (20,))
     mv = fit_multivariate(table.counts_exact, (20,), [((1,), 5)])
@@ -253,7 +253,7 @@ def test_fit_multivariate_product_structure(z_pm):
         table.counts_exact, box, [((1, 0), 1), ((0, 1), 1)]
     )
     # expansion equals the product of the univariate growth data
-    terms = growth_sequence(z_pm, base, 10).terms
+    terms = growth_sequence(z_pm, base, 10)
     expansion = expand_mv_series(fit, box)
     for a1 in range(11):
         for a2 in range(11):
@@ -328,7 +328,7 @@ def test_specialize_d1_identity():
 
 
 def test_series_text_round_trip(z_pm):
-    terms = growth_sequence(z_pm, z_pm.vertex(0), 25).terms
+    terms = growth_sequence(z_pm, z_pm.vertex(0), 25)
     fit = canonicalize(fit_univariate(terms, default_denominator(z_pm)))
     assert series_from_text(series_to_text(fit)) == fit
     ms = MultivariateRationalSeries(

@@ -33,13 +33,13 @@ def triangle():
 def test_cycles_square(square):
     cycles = enumerate_cycles(square)
     assert len(cycles) == 4
-    assert all(len(c.edges) == 1 for c in cycles)
+    assert all(len(c) == 1 for c in cycles)
 
 
 def test_cycles_honeycomb(honeycomb):
     cycles = enumerate_cycles(honeycomb)
     assert len(cycles) == 9
-    assert all(len(c.edges) == 2 for c in cycles)
+    assert all(len(c) == 2 for c in cycles)
 
 
 def test_cycle_weights_keep_one_entry_per_cycle(triangle):
@@ -57,7 +57,7 @@ def test_cycles_empty_graph():
 def test_cycles_match_brute_force(square, honeycomb, z_pm, triangle):
     for g in (square, honeycomb, z_pm, triangle):
         expected = brute_force_cycles(g, g.num_orbits)
-        got = {c.edges for c in enumerate_cycles(g)}
+        got = set(enumerate_cycles(g))
         assert got == expected
 
 
@@ -71,12 +71,12 @@ def test_cycle_data_matches_lifts(square, honeycomb, z_pm, triangle):
         assert len(data) == len(cycles)
         for cycle, (sup, weight, displacement) in zip(cycles, data):
             x0 = PeriodicVertex(
-                g.edges[cycle.edges[0]].src,
+                g.edges[cycle[0]].src,
                 tuple(rng.randint(-4, 4) for _ in range(g.dim)),
             )
-            ends = [lift_endpoint(g, cycle.edges[:i], x0) for i in range(len(cycle) + 1)]
+            ends = [lift_endpoint(g, cycle[:i], x0) for i in range(len(cycle) + 1)]
             orbit, coord = ends[-1]
             assert orbit == x0.orbit
             assert displacement == tuple(e - s for e, s in zip(coord, x0.coord))
             assert sup == {o for o, _ in ends}
-            assert weight == sum(g.edges[eid].weight for eid in cycle.edges)
+            assert weight == sum(g.edges[eid].weight for eid in cycle)
