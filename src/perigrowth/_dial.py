@@ -2,38 +2,28 @@
 
 `dial_distances` is monotone label-setting over integer weights (Dial's
 bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
-takes the steps of class v % len(table), the orbit of a packed cover vertex
+takes the steps of class v % classes, the orbit of a packed cover vertex
 or the (orbit, support mask) of a support-graded state.  It drives the
 ball, the support-graded search and the per-subset minimum-degree searches.
-Each start carries its own initial distance.  Buckets are indexed by
-distance mod (max(W, D) + 1), where W bounds the step weights and D the
-start distances: once the labels below d are settled, every pending label
-lies in [d, d + max(W, D)], so no two pending distances share a bucket.
+Each start carries its own initial distance.  A class's steps are listed
+and grouped by weight the first time a node of that class is settled, so
+the search builds only the classes it reaches.  Every step weighs at
+least 1, so a node settled at distance d only fills buckets above d; the
+buckets are keyed by distance and each is emptied once, in order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import defaultdict
+from typing import Callable, Iterable
 
 from .errors import ResourceLimitError
-
-StepTable = tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-
-
-def step_table(classes: Iterable[Iterable[tuple[int, int]]]) -> StepTable:
-    """Each class's (delta, w) steps as (w, deltas) groups, lightest w first."""
-    table = []
-    for steps in classes:
-        groups: dict[int, list[int]] = {}
-        for delta, w in steps:
-            groups.setdefault(w, []).append(delta)
-        table.append(tuple((w, tuple(groups[w])) for w in sorted(groups)))
-    return tuple(table)
 
 
 def dial_distances(
     starts: Iterable[tuple[int, int]],
-    table: StepTable,
+    classes: int,
+    steps: Callable[[int], Iterable[tuple[int, int]]],
     budget: int,
     *,
     cap: int,
@@ -41,9 +31,12 @@ def dial_distances(
 ) -> dict[int, int]:
     """Exact distances min over starts (s, d0) of d0 + d(s, v), up to budget.
 
-    Starts beyond the budget are dropped; a node given twice keeps its
-    smaller start distance.  Raises ResourceLimitError when the search
-    would hold more than `cap` nodes, starts included.
+    Node v steps to v + delta at weight w for each (delta, w) in
+    steps(v % classes).  Starts beyond the budget are dropped; a node given
+    twice keeps its smaller start distance.  Raises ValueError for a
+    negative start distance or a step weight below 1, and
+    ResourceLimitError when the search would hold more than `cap` nodes,
+    starts included.
     """
     full = f"{cap_what} exceeded {cap} nodes; raise the cap"
     dist: dict[int, int] = {}
@@ -54,25 +47,32 @@ def dial_distances(
             dist[s] = d0
     if len(dist) > cap:
         raise ResourceLimitError(full)
-    max_weight = max((groups[-1][0] for groups in table if groups), default=0)
-    modulus = max(max_weight, max(dist.values(), default=0)) + 1
-    buckets: list[list[int]] = [[] for _ in range(modulus)]
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
     for s, d0 in dist.items():
-        buckets[d0 % modulus].append(s)
-    n = len(table)
+        buckets[d0].append(s)
+    # class -> its (w, deltas) groups, lightest w first
+    built: dict[int, list[tuple[int, list[int]]]] = {}
     for d in range(budget + 1):
-        slot = buckets[d % modulus]
+        slot = buckets.pop(d, None)
         if not slot:
             continue
-        buckets[d % modulus] = []
         for node in slot:
             if dist[node] != d:
                 continue  # superseded label
-            for w, deltas in table[node % n]:
+            c = node % classes
+            groups = built.get(c)
+            if groups is None:
+                by_weight: dict[int, list[int]] = {}
+                for delta, w in steps(c):
+                    if w < 1:
+                        raise ValueError(f"step weight {w} is below 1")
+                    by_weight.setdefault(w, []).append(delta)
+                groups = built[c] = sorted(by_weight.items())
+            for w, deltas in groups:
                 nd = d + w
                 if nd > budget:
                     break
-                bucket = buckets[nd % modulus]
+                bucket = buckets[nd]
                 for delta in deltas:
                     nb = node + delta
                     old = dist.get(nb)
@@ -84,4 +84,3 @@ def dial_distances(
                     dist[nb] = nd
                     bucket.append(nb)
     return dist
-

@@ -19,8 +19,8 @@ orbits and ceil(|vec_i| / g) over every move (g, vec) of degree g >= 1.
 An edge orbit or a move is then a precomputed integer delta (dst - src plus
 its shift dotted with the strides), and following it is one integer
 addition.  Since stride_0 is the number of orbits, key % orbits is the
-orbit, so the Dial kernel reads a vertex's steps from a table with one
-class per orbit: that orbit's out-edge deltas, grouped by weight.
+orbit, so the Dial kernel takes one step class per orbit: that orbit's
+out-edge deltas, listed when the search first settles a vertex of it.
 
 No-carry invariant: every edge weighs at least 1, so a walk of weight at
 most R has at most R edges and moves coordinate i by at most R * S_i from
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from ._dial import dial_distances, step_table
+from ._dial import dial_distances
 from .errors import CoverageError, InputError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, validate
 from .series import MultivariateRationalSeries, expand_mv_series
@@ -147,13 +147,12 @@ def packed_distances(
     g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_BALL_CAP
 ) -> dict[int, int]:
     """Dial search over packed keys: key -> distance <= codec.radius."""
-    table = step_table(
-        [(e.dst - e.src + codec.delta(e.shift), e.weight) for e in g.out_edges(orbit)]
-        for orbit in range(codec.orbits)
-    )
     return dial_distances(
         [(codec.encode(codec.base), 0)],
-        table,
+        codec.orbits,
+        lambda orbit: [
+            (e.dst - e.src + codec.delta(e.shift), e.weight) for e in g.out_edges(orbit)
+        ],
         codec.radius,
         cap=cap,
         cap_what="ball size",

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import ball, decomposition, series, vab
+from . import ball, decomposition, series, vab, walks
 from .errors import InputError, MathError, PerigrowthError
 from .periodic_graph import (
     PeriodicVertex,
     parse_periodic_graph,
     serialize_periodic_graph,
-    validate,
 )
 
 FORMAT_HEADER = "perigrowth-format 1"
@@ -80,11 +79,7 @@ def _emit(args, lines: list[str]) -> None:
 
 
 def _load_pg(path: str):
-    g = parse_periodic_graph(_read(path))
-    report = validate(g)
-    if report:
-        raise InputError("; ".join(report))
-    return g
+    return parse_periodic_graph(_read(path))
 
 
 def _load_vag(path: str):
@@ -113,11 +108,7 @@ def _table_lines(table: ball.RelativeCountTable) -> list[str]:
 
 
 def cmd_pg_validate(args) -> int:
-    g = parse_periodic_graph(_read(args.file))
-    report = validate(g)
-    if report:
-        _emit(args, [FORMAT_HEADER] + report)
-        return EXIT_INPUT
+    _load_pg(args.file)
     _emit(args, [FORMAT_HEADER, "valid"])
     return EXIT_OK
 
@@ -270,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-ball", type=int, default=ball.DEFAULT_BALL_CAP, help="ball size cap"
     )
     parser.add_argument(
-        "--max-cycles", type=int, default=1_000_000, help="cycle enumeration cap"
+        "--max-cycles",
+        type=int,
+        default=walks.DEFAULT_CYCLE_CAP,
+        help="cycle enumeration cap",
     )
     top = parser.add_subparsers(dest="family", required=True)
 

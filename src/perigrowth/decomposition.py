@@ -12,15 +12,14 @@ and the module action.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
-from ._dial import dial_distances, step_table
+from ._dial import dial_distances
 from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
 from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
-from .walks import enumerate_cycles
+from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
 
 SupportSet = frozenset[int]
 
@@ -106,7 +105,7 @@ def _monoid(rank: int, S: SupportSet, cycle_data) -> GradedMonoid:
 
 
 def build_MS(
-    g: QuotientGraph, S: SupportSet, *, cycle_cap: int = 1_000_000
+    g: QuotientGraph, S: SupportSet, *, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> GradedMonoid:
     """Monoid generated by cycles supported inside S, plus the degree step."""
     return _monoid(g.dim, S, _cycle_data(g, cycle_cap))
@@ -120,31 +119,29 @@ def support_distances(
     A state is one int, key << n | mask: the endpoint's packed key and the
     bitmask of the n quotient orbits the walk visits.  The length-0 walk at
     the base has support {orbit of the base}, so that state sits at
-    distance 0.
+    distance 0.  Every edge weighs at least 1, as the kernel requires.
     """
     n = codec.orbits
     steps = [
         [(codec.delta(e.shift) + e.dst - e.src << n, 1 << e.dst, e.weight) for e in out]
         for out in map(g.out_edges, range(n))
     ]
-    targets = [sum({bit for _, bit, _ in out}) for out in steps]
 
     # state % (n << n) is orbit << n | mask: an edge into orbit b adds its
-    # packed delta << n, plus bit b when the mask lacks it.  A class reads
-    # the mask only at its orbit's edge targets, so it is built once and
-    # shared by every mask that agrees there
-    @functools.cache
-    def steps_at(orbit: int, seen: int):
-        return step_table([[(d + (~seen & bit), w) for d, bit, w in steps[orbit]]])[0]
+    # packed delta << n, plus bit b when the mask lacks it.  The kernel
+    # lists a class only when it settles a state of it
+    def steps_at(c: int):
+        seen = c & (1 << n) - 1
+        return [(d + (~seen & bit), w) for d, bit, w in steps[c >> n]]
 
-    table = tuple(
-        steps_at(orbit, mask & targets[orbit])
-        for orbit in range(n)
-        for mask in range(1 << n)
-    )
     start = codec.encode(codec.base) << n | 1 << codec.base.orbit
     return dial_distances(
-        [(start, 0)], table, codec.radius, cap=cap, cap_what="support-graded ball"
+        [(start, 0)],
+        n << n,
+        steps_at,
+        codec.radius,
+        cap=cap,
+        cap_what="support-graded ball",
     )
 
 
@@ -285,11 +282,9 @@ def _min_degrees(
     zero vector, the degree step (1, 0) among them, only raise the degree
     at the same vertex, so they never lower a least degree and are skipped.
     """
-    table = step_table(
-        [[(codec.delta(gvec), gd) for gd, gvec in monoid.generators if any(gvec)]]
-    )
+    moves = [(codec.delta(gvec), gd) for gd, gvec in monoid.generators if any(gvec)]
     return dial_distances(
-        starts, table, codec.radius, cap=cap, cap_what="module saturation"
+        starts, 1, lambda _: moves, codec.radius, cap=cap, cap_what="module saturation"
     )
 
 
@@ -323,7 +318,7 @@ def verify_cover(
     exhaustive: bool = False,
     orbit_guard: int = DEFAULT_ORBIT_GUARD,
     cap: int = DEFAULT_BALL_CAP,
-    cycle_cap: int = 1_000_000,
+    cycle_cap: int = DEFAULT_CYCLE_CAP,
     max_witnesses: int = 10,
 ) -> CoverReport:
     """Check that the union of truncated modules equals the graded growth set.

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import FormatError, InputError, NoFitError, PerigrowthError
 from .periodic_graph import QuotientGraph
-from .walks import cycle_weights
+from .walks import DEFAULT_CYCLE_CAP, cycle_weights
 
 DEFAULT_MARGIN = 10
 DEFAULT_MARGIN_PER_AXIS = 5
@@ -149,7 +149,7 @@ def expand_series(rs: RationalSeries, through: int) -> list[int]:
 
 
 def default_denominator(
-    g: QuotientGraph, *, cycle_cap: int = 1_000_000
+    g: QuotientGraph, *, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> tuple[tuple[int, int], ...]:
     """Denominator ansatz (1-t) * prod over cycles (1-t^{weight})."""
     factors = [(1, 1)]

@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .periodic_graph import EdgeOrbit, PeriodicVertex, QuotientGraph, Vector, _tokenize
-from .walks import cycle_weights
+from .walks import DEFAULT_CYCLE_CAP, cycle_weights
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -453,7 +453,7 @@ def default_set_denominator(
     dm: DistanceMap,
     mmset: MonoidModuleSet,
     *,
-    cycle_cap: int = 1_000_000,
+    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Denominator ansatz for the multivariate fit of a monoid-module set.
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from .errors import ResourceLimitError
 from .periodic_graph import QuotientGraph
 
+DEFAULT_CYCLE_CAP = 1_000_000
+
 
 def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
     rotations = [edges[i:] + edges[:i] for i in range(len(edges))]
@@ -19,7 +21,7 @@ def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def enumerate_cycles(
-    g: QuotientGraph, *, cap: int = 1_000_000
+    g: QuotientGraph, *, cap: int = DEFAULT_CYCLE_CAP
 ) -> list[tuple[int, ...]]:
     """All simple directed cycles of the quotient, deduplicated and sorted.
 
@@ -47,7 +49,7 @@ def enumerate_cycles(
     return sorted(found, key=lambda c: (len(c), c))
 
 
-def cycle_weights(g: QuotientGraph, *, cap: int = 1_000_000) -> list[int]:
+def cycle_weights(g: QuotientGraph, *, cap: int = DEFAULT_CYCLE_CAP) -> list[int]:
     """The weight of every simple cycle, in `enumerate_cycles` order."""
     return [
         sum(g.edges[eid].weight for eid in c) for c in enumerate_cycles(g, cap=cap)

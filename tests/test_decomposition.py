@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigrowth import decomposition
@@ -34,6 +34,21 @@ from oracles import (
 )
 
 V = PeriodicVertex
+
+
+def ring(n: int) -> QuotientGraph:
+    """n orbits on a 1-D ring, each with a step forward, a step back and a
+    loop one period along, all of weight 1."""
+    edges = []
+    for i in range(n):
+        edges.append((i, (i + 1) % n, (int(i == n - 1),), 1))
+        edges.append((i, (i - 1) % n, (-int(i == 0),), 1))
+        edges.append((i, i, (1,), 1))
+    return QuotientGraph(
+        1,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
 
 
 def test_build_MS_z_pm(z_pm):
@@ -137,6 +152,8 @@ def test_verify_cover_orbit_guard():
     g = parse_periodic_graph(text)
     with pytest.raises(GuardError):
         verify_cover(g, g.vertex(0), 3)
+    g = ring(decomposition.DEFAULT_ORBIT_GUARD)
+    assert verify_cover(g, g.vertex(0), 6).ok
 
 
 def test_verify_module_action(z_pm, honeycomb):
@@ -395,6 +412,9 @@ def support_searches(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(support_searches())
+# 12 << 12 step classes, of which the search reaches a handful
+@example((ring(12), V(3, (0,)), 1))
+@example((ring(12), V(3, (0,)), 2))
 def test_support_distances_match_reference(case):
     # each packed state key << n | mask decodes to (endpoint, exact support)
     g, x0, radius = case

@@ -5,7 +5,7 @@ import pytest
 from perigrowth.decomposition import _cycle_data
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.series import default_denominator
-from perigrowth.walks import cycle_weights, enumerate_cycles
+from perigrowth.walks import DEFAULT_CYCLE_CAP, cycle_weights, enumerate_cycles
 
 from conftest import SEED
 from oracles import brute_force_cycles, lift_endpoint
@@ -67,7 +67,7 @@ def test_cycle_data_matches_lifts(square, honeycomb, z_pm, triangle):
     rng = random.Random(SEED)
     for g in (square, honeycomb, z_pm, triangle):
         cycles = enumerate_cycles(g)
-        data = _cycle_data(g, 1_000_000)
+        data = _cycle_data(g, DEFAULT_CYCLE_CAP)
         assert len(data) == len(cycles)
         for cycle, (sup, weight, displacement) in zip(cycles, data):
             x0 = PeriodicVertex(
