@@ -34,8 +34,9 @@ only where results leave the searches.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 from typing import Iterable, NamedTuple
 
 from ._dial import dial_distances
@@ -68,9 +69,11 @@ class RelativeCountTable:
     """Exact per-multidegree counts of a tuple set, at and below each degree.
 
     counts_exact[a] counts tuples whose coordinate distances equal a
-    componentwise; counts_cumulative[a] counts those bounded by a.
+    componentwise; counts_cumulative[a] counts those bounded by a, for
+    every a in the box.
     """
 
+    box: tuple[int, ...]
     counts_exact: dict[tuple[int, ...], int]
     counts_cumulative: dict[tuple[int, ...], int]
 
@@ -221,7 +224,7 @@ def relative_counts(
     if any(b < 0 for b in box):
         raise ValueError("box bounds must be nonnegative")
     dm.check_radius(max(box))
-    exact: dict[tuple[int, ...], int] = {}
+    weights = []
     for tup in tuples:
         if len(tup) != arity:
             raise ValueError(f"tuple arity {len(tup)} does not match box arity {arity}")
@@ -233,14 +236,21 @@ def relative_counts(
                     f"tuple coordinate {y} lies outside the radius-{dm.radius} ball"
                 )
             degs.append(d)
-        key = tuple(degs)
-        if all(a <= b for a, b in zip(key, box)):
-            exact[key] = exact.get(key, 0) + 1
+        weights.append(tuple(degs))
+    return count_table(weights, box)
+
+
+def count_table(
+    weights: Iterable[tuple[int, ...]], box: tuple[int, ...]
+) -> RelativeCountTable:
+    """The table of the weight tuples, one per counted tuple, inside the box."""
+    exact = dict(Counter(w for w in weights if all(map(le, w, box))))
     # cumulative counts B = S / prod_i (1 - z_i), S the exact counts
+    arity = len(box)
     units = tuple(
         (tuple(int(i == j) for j in range(arity)), 1) for i in range(arity)
     )
     cumulative = expand_mv_series(
-        MultivariateRationalSeries(arity, exact, units, tuple(box)), box
+        MultivariateRationalSeries(arity, exact, units, box), box
     )
-    return RelativeCountTable(exact, cumulative)
+    return RelativeCountTable(box, exact, cumulative)

@@ -214,20 +214,19 @@ def cmd_vag_relative(args) -> int:
     group, gens = _load_vag(args.file)
     mmset = vab.parse_set(_read(args.set), group)
     box = _parse_box(args.upto, mmset.arity)
-    # one ball serves the set enumeration, the counts and the coupling grades
+    # one ball serves the set enumeration (and so the counts) and the coupling grades
     graph, base = vab.build_cayley(group, gens)
     radius = max(max(box), vab.coupling_radius(graph, mmset))
     dm = ball.distances_upto(graph, base, radius, cap=args.max_ball)
-    tuples = vab.enumerate_monoid_module_set(dm, mmset, box, cap=args.max_ball)
-    table = vab.relative_growth_terms(dm, tuples, box)
+    members = vab.enumerate_monoid_module_set(dm, mmset, box, cap=args.max_ball)
+    table = vab.relative_growth_terms(members, box)
     factors = vab.default_set_denominator(graph, dm, mmset, cycle_cap=args.max_cycles)
     margins = tuple(args.margin for _ in box)
     fit = series.fit_multivariate_auto(
         table.counts_exact, box, factors, margins=margins
     )
     specialized = series.specialize_to_univariate(fit)
-    window = min(box)
-    uni_terms = vab.univariate_terms(dm, tuples, window)
+    uni_terms = vab.univariate_terms(table, min(box))
     direct = series.canonicalize(
         series.fit_univariate_auto(uni_terms, specialized.factors, margin=args.margin)
     )

@@ -51,6 +51,7 @@ class QuotientGraph:
     _out: dict[int, tuple[EdgeOrbit, ...]] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _max_weight: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         out: dict[int, list[EdgeOrbit]] = {i: [] for i in range(len(self.orbits))}
@@ -59,6 +60,9 @@ class QuotientGraph:
                 out[e.src].append(e)
         object.__setattr__(
             self, "_out", {k: tuple(v) for k, v in out.items()}
+        )
+        object.__setattr__(
+            self, "_max_weight", max((e.weight for e in self.edges), default=0)
         )
 
     @property
@@ -75,7 +79,7 @@ class QuotientGraph:
         return self._out[orbit]
 
     def max_weight(self) -> int:
-        return max((e.weight for e in self.edges), default=0)
+        return self._max_weight
 
     def vertex(self, orbit: int, coord: Vector | None = None) -> PeriodicVertex:
         if coord is None:

@@ -10,13 +10,14 @@ the weighted word length, which is what all growth counting runs on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, relative_counts
+from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, count_table
 from .errors import (
     DisjointnessError,
     FormatError,
@@ -186,10 +187,6 @@ def inverse(group: VAGroup, a: GroupElement) -> GroupElement:
     return GroupElement(vec, part)
 
 
-def element_vertex(el: GroupElement) -> PeriodicVertex:
-    return PeriodicVertex(el.part, el.vec)
-
-
 def build_cayley(
     group: VAGroup, gens: list[WeightedGenerator]
 ) -> tuple[QuotientGraph, PeriodicVertex]:
@@ -316,8 +313,9 @@ def enumerate_monoid_module_set(
     box: tuple[int, ...],
     *,
     cap: int = DEFAULT_BALL_CAP,
-) -> list[tuple[GroupElement, ...]]:
-    """All elements whose every coordinate has word weight within the box.
+) -> dict[tuple[GroupElement, ...], tuple[int, ...]]:
+    """Each element whose every coordinate has word weight within the box,
+    mapped to those weights.
 
     `dm` is the Cayley ball from the identity, of radius at least max(box).
     A piece's k ugens, flattened to length q = n·d, must be linearly
@@ -328,8 +326,9 @@ def enumerate_monoid_module_set(
     E splits by coordinate, so each allowed ball point maps to one integer
     vector; the last coordinate's points are indexed by their q - k lower
     entries, and each tuple of the other coordinates' points (at most `cap`
-    of them per piece) looks up the negated sum.  Declared disjointness is
-    verified on the enumerated sets and violations are hard errors.
+    of them per piece) looks up the negated sum.  Each member is checked
+    against the map as it enters: a piece that meets an earlier one is a
+    hard error naming the earliest such piece and their least common member.
     """
     if len(box) != mmset.arity:
         raise InputError("box arity does not match set arity")
@@ -340,7 +339,8 @@ def enumerate_monoid_module_set(
     by_orbit: dict[int, list[tuple[Vector, int]]] = {}
     for v, dist in dm.entries.items():
         by_orbit.setdefault(v.orbit, []).append((v.coord, dist))
-    seen_by_piece = []
+    members: dict[tuple[GroupElement, ...], tuple[int, ...]] = {}
+    ends = []  # len(members) after each piece
     for index, piece in enumerate(mmset.pieces):
         k = len(piece.ugens)
         elimination = _eliminate(
@@ -351,12 +351,12 @@ def enumerate_monoid_module_set(
         e, scale = elimination
         shift = tuple(itertools.chain.from_iterable(t.vec for t in piece.shift))
         origin = [-x for x in _apply(e, shift)]
-        images = []  # per coordinate: (E_i y, element) of each allowed ball point
+        images = []  # per coordinate: (E_i y, element, weight) per allowed ball point
         for i, (bound, t) in enumerate(zip(box, piece.shift)):
             block = [row[i * n : (i + 1) * n] for row in e]
             images.append(
                 [
-                    (_apply(block, y), GroupElement(y, t.part))
+                    (_apply(block, y), GroupElement(y, t.part), dist)
                     for y, dist in by_orbit.get(t.part, [])
                     if dist <= bound
                 ]
@@ -368,71 +368,52 @@ def enumerate_monoid_module_set(
                 " raise the cap"
             )
         by_lower: dict[tuple[int, ...], list] = {}
-        for image, el in last:
-            by_lower.setdefault(image[k:], []).append((image[:k], el))
-        members = set()
+        for image, el, dist in last:
+            by_lower.setdefault(image[k:], []).append((image[:k], el, dist))
+        clashes = []
         for combo in itertools.product(*head):
-            total = [sum(col) for col in zip(origin, *(image for image, _ in combo))]
-            for upper, el in by_lower.get(tuple(-x for x in total[k:]), ()):
+            total = [sum(col) for col in zip(origin, *(point[0] for point in combo))]
+            for upper, el, dist in by_lower.get(tuple(-x for x in total[k:]), ()):
                 c = [a + b for a, b in zip(total, upper)]
                 if all(x >= 0 and x % scale == 0 for x in c):
-                    members.add(tuple(el for _, el in combo) + (el,))
-        seen_by_piece.append(members)
-    for i in range(len(seen_by_piece)):
-        for j in range(i + 1, len(seen_by_piece)):
-            overlap = seen_by_piece[i] & seen_by_piece[j]
-            if overlap:
-                raise DisjointnessError(
-                    f"pieces {i} and {j} overlap at"
-                    f" {' '.join(map(str, sorted(overlap)[0]))}"
-                )
-    union = set().union(*seen_by_piece) if seen_by_piece else set()
-    return sorted(union)
+                    member = tuple(point[1] for point in combo) + (el,)
+                    if member in members:
+                        clashes.append(member)
+                    else:
+                        members[member] = tuple(point[2] for point in combo) + (dist,)
+        if clashes:
+            position = {member: p for p, member in enumerate(members)}
+            first, least = min(
+                (bisect.bisect_right(ends, position[m]), m) for m in clashes
+            )
+            raise DisjointnessError(
+                f"pieces {first} and {index} overlap at {' '.join(map(str, least))}"
+            )
+        ends.append(len(members))
+    return members
 
 
 def relative_growth_terms(
-    dm: DistanceMap,
-    tuples: list[tuple[GroupElement, ...]],
+    members: dict[tuple[GroupElement, ...], tuple[int, ...]],
     box: tuple[int, ...],
 ) -> RelativeCountTable:
-    """Count tuples by per-coordinate word weight over the box.
+    """Count the members of `enumerate_monoid_module_set` by their weights."""
+    return count_table(members.values(), box)
 
-    `dm` is the Cayley ball from the identity, of radius at least max(box).
-    Every coordinate must lie in the ball, as those of
-    `enumerate_monoid_module_set` do; `ball.relative_counts` raises
-    `CoverageError` for one outside it, which may have finite weight beyond
-    the box that only the producer can rule in or out.
+
+def univariate_terms(table: RelativeCountTable, through: int) -> list[int]:
+    """The table's exact counts summed by total degree, through `through`.
+
+    A tuple of total weight <= through <= min(box) has every coordinate
+    within the box, so the table holds it; a wider window is refused.
     """
-    return relative_counts(
-        dm, [tuple(element_vertex(el) for el in tup) for tup in tuples], box
-    )
-
-
-def univariate_terms(
-    dm: DistanceMap,
-    tuples: list[tuple[GroupElement, ...]],
-    through: int,
-) -> list[int]:
-    """Counts of tuples by total word weight, complete through `through`.
-
-    Any tuple of total weight <= through has every coordinate weight
-    <= through and therefore sits inside the Cayley ball `dm` once its
-    radius reaches `through`, so a tuple with an out-of-ball coordinate
-    contributes nothing here (its total is larger than the window or
-    infinite) and is skipped exactly.
-    """
-    dm.check_radius(through)
+    if through > min(table.box):
+        raise ValueError(f"window {through} exceeds the box {table.box}")
     terms = [0] * (through + 1)
-    for tup in tuples:
-        total = 0
-        for el in tup:
-            dist = dm.distance(element_vertex(el))
-            if dist is None:
-                total = None
-                break
-            total += dist
-        if total is not None and total <= through:
-            terms[total] += 1
+    for key, count in table.counts_exact.items():
+        total = sum(key)
+        if total <= through:
+            terms[total] += count
     return terms
 
 

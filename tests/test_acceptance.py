@@ -225,7 +225,7 @@ def test_acceptance_8_involution_algebraic_set(capsys):
         for tup in from_pieces:
             oracle[weights[tup[0]]] += 1
         assert oracle == [1, 1] + [2] * 9
-        table = relative_growth_terms(dm, from_pieces, box)
+        table = relative_growth_terms(from_pieces, box)
         assert [table.counts_exact.get((i,), 0) for i in range(11)] == oracle
         mv = fit_multivariate(
             table.counts_exact, box, [((1,), 1), ((2,), 1)]
@@ -233,7 +233,7 @@ def test_acceptance_8_involution_algebraic_set(capsys):
         specialized = specialize_to_univariate(mv)
         direct = canonicalize(
             fit_univariate(
-                univariate_terms(dm, from_pieces, 10),
+                univariate_terms(table, 10),
                 ((1, 1), (2, 1)),
                 margin=5,
             )

@@ -457,6 +457,11 @@ def test_dependent_ugens_exit_2(capsys, tmp_path, text, message):
         pytest.param("arity 2\npiece\nshift (1;1) (0;0)\n"
                      "piece\nugen 1 0\nshift (-2;1) (0;0)\n",
                      "pieces 0 and 1 overlap at (1;1) (0;0)", id="arity-2"),
+        # only the last two of three pieces meet, on (0;1) to (3;1); the
+        # message names the least of those
+        pytest.param("arity 1\npiece\nshift (0;0)\npiece\nugen 1\nshift (0;1)\n"
+                     "piece\nugen -1\nshift (3;1)\n",
+                     "pieces 1 and 2 overlap at (0;1)", id="three-pieces"),
     ],
 )
 def test_overlapping_pieces_exit_2_in_set_notation(capsys, tmp_path, text, message):
@@ -631,6 +636,16 @@ def test_cli_relative_diagonal_in_dinf_matches_golden(capsys):
     # certifies at this box; over every specialized ansatz factor it would not
     argv = ["vag", "relative", data_path("dinf.vag"), data_path("diag.set"), "--upto", "12"]
     check_golden(capsys, argv, "dinf_diag_relative")
+
+
+def test_cli_relative_involutions_at_box_100_matches_golden(capsys):
+    # the argv of the benchmark's fit job, which checks the counts but not
+    # the printed series
+    argv = ["vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
+            "--upto", "100"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "dinf_invol_relative_upto100.out").read_bytes()
 
 
 def test_cli_relative_diagonal_over_z_matches_golden(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from perigrowth.ball import distances_upto, growth_sequence, relative_counts
 from perigrowth.errors import (
-    CoverageError,
     DisjointnessError,
     FormatError,
     GuardError,
@@ -300,10 +300,8 @@ def test_enumerate_diagonal_piece():
     piece = MonoidModulePiece((((1,), (1,)),), (group.identity(), group.identity()))
     mmset = MonoidModuleSet(2, (piece,))
     _, dm = _ball(group, gens, 5)
-    tuples = enumerate_monoid_module_set(dm, mmset, (5, 5))
-    assert tuples == [
-        (E((k,), 0), E((k,), 0)) for k in range(6)
-    ]
+    members = enumerate_monoid_module_set(dm, mmset, (5, 5))
+    assert members == {(E((k,), 0), E((k,), 0)): (k, k) for k in range(6)}
 
 
 def test_enumerate_detects_overlap():
@@ -312,12 +310,18 @@ def test_enumerate_detects_overlap():
         WeightedGenerator("a", E((1,), 0), 1),
         WeightedGenerator("ai", E((-1,), 0), 1),
     ]
+    dm = _ball(group, gens, 4)[1]
+    p0 = MonoidModulePiece((), (group.identity(),))
     p1 = MonoidModulePiece((((1,),),), (group.identity(),))
     p2 = MonoidModulePiece((((1,),),), (E((1,), 0),))  # overlaps p1 from 1 on
-    with pytest.raises(DisjointnessError):
-        enumerate_monoid_module_set(
-            _ball(group, gens, 4)[1], MonoidModuleSet(1, (p1, p2)), (4,)
-        )
+    message = re.escape("pieces 0 and 1 overlap at (1;0)")
+    with pytest.raises(DisjointnessError, match=message):
+        enumerate_monoid_module_set(dm, MonoidModuleSet(1, (p1, p2)), (4,))
+    # a piece that meets two earlier ones is named with the earliest
+    p3 = MonoidModulePiece((((-1,),),), (E((3,), 0),))  # 3, 2, 1, 0, -1, ...
+    message = re.escape("pieces 0 and 2 overlap at (0;0)")
+    with pytest.raises(DisjointnessError, match=message):
+        enumerate_monoid_module_set(dm, MonoidModuleSet(1, (p0, p2, p3)), (4,))
 
 
 def test_enumerate_matches_solve_box(dinf):
@@ -336,8 +340,8 @@ def test_enumerate_needs_reachable_coordinates():
     gens = [WeightedGenerator("a", E((1,), 0), 1)]
     piece = MonoidModulePiece((((-1,),),), (group.identity(),))
     _, dm = _ball(group, gens, 5)
-    tuples = enumerate_monoid_module_set(dm, MonoidModuleSet(1, (piece,)), (5,))
-    assert tuples == [(group.identity(),)]
+    members = enumerate_monoid_module_set(dm, MonoidModuleSet(1, (piece,)), (5,))
+    assert members == {(group.identity(),): (0,)}
 
 
 @functools.cache
@@ -383,8 +387,23 @@ def independent_pieces(draw):
 def test_join_matches_brute_force(case):
     name, piece, box = case
     _, dm = _corpus_ball(name)
-    tuples = enumerate_monoid_module_set(dm, MonoidModuleSet(len(box), (piece,)), box)
-    assert tuples == sorted(monoid_module_piece_tuples(dm, piece, box))
+    members = enumerate_monoid_module_set(dm, MonoidModuleSet(len(box), (piece,)), box)
+    assert sorted(members) == sorted(monoid_module_piece_tuples(dm, piece, box))
+    for member, weights in members.items():
+        vertices = (PeriodicVertex(el.part, el.vec) for el in member)
+        assert weights == tuple(map(dm.distance, vertices))
+    # every member of total weight <= min(box) lies in the box's table: count
+    # the piece over the whole ball by brute force
+    window = min(box)
+    oracle = [0] * (window + 1)
+    for tup in monoid_module_piece_tuples(dm, piece, (dm.radius,) * len(box)):
+        total = sum(dm.distance(PeriodicVertex(el.part, el.vec)) for el in tup)
+        if total <= window:
+            oracle[total] += 1
+    table = relative_growth_terms(members, box)
+    assert univariate_terms(table, window) == oracle
+    with pytest.raises(ValueError, match=f"window {window + 1} exceeds the box"):
+        univariate_terms(table, window + 1)
 
 
 def test_enumerate_cap_bounds_head_tuples():
@@ -407,8 +426,8 @@ def test_relative_growth_terms_involutions(dinf):
     group, gens = dinf
     mmset = parse_set(data_text("invol.set"), group)
     _, dm = _ball(group, gens, 8)
-    tuples = enumerate_monoid_module_set(dm, mmset, (8,))
-    table = relative_growth_terms(dm, tuples, (8,))
+    members = enumerate_monoid_module_set(dm, mmset, (8,))
+    table = relative_growth_terms(members, (8,))
     counts = [table.counts_exact.get((i,), 0) for i in range(9)]
     assert counts == [1, 1, 2, 2, 2, 2, 2, 2, 2]
 
@@ -417,8 +436,8 @@ def test_relative_growth_full_group_recovers_growth(dinf):
     group, gens = dinf
     graph, base = build_cayley(group, gens)
     dm = distances_upto(graph, base, 7)
-    tuples = [(GroupElement(v.coord, v.orbit),) for v in dm.entries]
-    table = relative_growth_terms(dm, tuples, (7,))
+    members = {(GroupElement(v.coord, v.orbit),): (d,) for v, d in dm.entries.items()}
+    table = relative_growth_terms(members, (7,))
     terms = growth_sequence(graph, base, 7)
     assert [table.counts_exact.get((i,), 0) for i in range(8)] == list(terms)
 
@@ -432,34 +451,11 @@ def test_relative_growth_diagonal_series():
     mmset = parse_set(data_text("diag.set"), group)
     box = (12, 12)
     _, dm = _ball(group, gens, 12)
-    tuples = enumerate_monoid_module_set(dm, mmset, box)
-    table = relative_growth_terms(dm, tuples, box)
+    members = enumerate_monoid_module_set(dm, mmset, box)
+    table = relative_growth_terms(members, box)
     fit = fit_multivariate(table.counts_exact, box, [((1, 1), 1)])
     assert fit.numerator == {(0, 0): 1, (1, 1): 1}
     assert fit.factors == (((1, 1), 1),)
-
-
-def test_relative_growth_rejects_reachable_outside_ball():
-    group = z_group()
-    gens = [
-        WeightedGenerator("a", E((1,), 0), 1),
-        WeightedGenerator("ai", E((-1,), 0), 1),
-    ]
-    with pytest.raises(CoverageError):
-        relative_growth_terms(_ball(group, gens, 5)[1], [(E((99,), 0),)], (5,))
-
-
-def test_relative_growth_drops_unreachable_coset(dinf):
-    # a coordinate in a coset the generators never reach lies outside the
-    # ball, so it is rejected like any other coordinate outside it
-    group, _ = dinf
-    lattice_only = [
-        WeightedGenerator("a", E((1,), 0), 1),
-        WeightedGenerator("ai", E((-1,), 0), 1),
-    ]
-    tuples = [(E((0,), 1),), (group.identity(),)]
-    with pytest.raises(CoverageError):
-        relative_growth_terms(_ball(group, lattice_only, 4)[1], tuples, (4,))
 
 
 def test_specialization_identity(dinf):
@@ -467,12 +463,12 @@ def test_specialization_identity(dinf):
     mmset = parse_set(data_text("invol.set"), group)
     box = (10,)
     graph, dm = _ball(group, gens, 10)
-    tuples = enumerate_monoid_module_set(dm, mmset, box)
-    table = relative_growth_terms(dm, tuples, box)
+    members = enumerate_monoid_module_set(dm, mmset, box)
+    table = relative_growth_terms(members, box)
     factors = default_set_denominator(graph, dm, mmset)
     mv = fit_multivariate(table.counts_exact, box, factors)
     specialized = specialize_to_univariate(mv)
-    uni = univariate_terms(dm, tuples, 10)
+    uni = univariate_terms(table, 10)
     direct = canonicalize(
         fit_univariate(uni, [(sum(w), e) for w, e in mv.factors], margin=5)
     )
@@ -484,11 +480,8 @@ def test_ball_consumers_reject_a_short_ball(dinf):
     group, gens = dinf
     mmset = parse_set(data_text("invol.set"), group)
     graph, dm = _ball(group, gens, 3)
-    tuples = enumerate_monoid_module_set(dm, mmset, (3,))
     for call in (
         lambda: enumerate_monoid_module_set(dm, mmset, (4,)),
-        lambda: relative_growth_terms(dm, tuples, (4,)),
-        lambda: univariate_terms(dm, tuples, 4),
         lambda: default_set_denominator(graph, _ball(group, gens, 0)[1], mmset),
         lambda: relative_counts(dm, [], (4,)),
     ):
