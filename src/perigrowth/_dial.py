@@ -3,8 +3,10 @@
 `dial_distances` is monotone label-setting over integer weights (Dial's
 bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
 takes the steps of class v % classes, the orbit of a packed cover vertex
-or the (orbit, support mask) of a support-graded state.  It drives the
-ball, the support-graded search and the per-subset minimum-degree searches.
+or the (orbit, support mask) of a support-graded state.  It drives every
+search that needs distances: the ball, the support-graded search and the
+per-subset minimum-degree searches.  Shell counts, which need none, run on
+bit rows instead when `ball.growth_sequence`'s rules (a) and (b) hold.
 Each start carries its own initial distance.  A class's steps are listed
 and grouped by weight the first time a node of that class is settled, so
 the search builds only the classes it reaches.  Every step weighs at

@@ -14,20 +14,20 @@ besides the edges:
     key = orbit + sum_i (coord_i - base_i + R * S_i) * stride_i
 
 where stride_0 is the number of orbits and stride_{i+1} = stride_i *
-(2 * R * S_i + 1).  S_i is the largest of max |shift_i| over all edge
-orbits and ceil(|vec_i| / g) over every move (g, vec) of degree g >= 1.
-An edge orbit or a move is then a precomputed integer delta (dst - src plus
-its shift dotted with the strides), and following it is one integer
-addition.  Since stride_0 is the number of orbits, key % orbits is the
-orbit, so the Dial kernel takes one step class per orbit: that orbit's
-out-edge deltas, listed when the search first settles a vertex of it.
+(2 * R * S_i + 1).  S_i is the largest ceil(|vec_i| / g) over every move
+(g, vec) of degree g >= 1, each edge orbit counted as the move (weight,
+shift).  An edge orbit or a move is then a precomputed integer delta (dst -
+src plus its shift dotted with the strides), and following it is one
+integer addition.  Since stride_0 is the number of orbits, key % orbits is
+the orbit, so the Dial kernel, which runs every search that needs
+distances, takes one step class per orbit: that orbit's out-edge deltas,
+listed when the search first settles a vertex of it.  Shell counts need no
+distances, and `growth_sequence` counts them on bit rows of the cells
+key // orbits when its rules (a) and (b) hold.
 
-No-carry invariant: every edge weighs at least 1, so a walk of weight at
-most R has at most R edges and moves coordinate i by at most R * S_i from
-the base.  A module element of degree at most R is the end of such a walk
-plus moves of total degree at most R, and each move of degree g shifts
-axis i by at most g * S_i, so it too stays within R * S_i of the base.
-Each digit therefore stays in [0, 2 * R * S_i], never carries into its
+No-carry invariant: every vertex a search reaches is the end of edges and
+moves of total degree at most R, each shifting axis i by at most its degree
+times S_i, so each digit stays in [0, 2 * R * S_i], never carries into its
 neighbour, and the encoding is exact.  Keys are decoded to `PeriodicVertex`
 only where results leave the searches.
 """
@@ -36,11 +36,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from operator import le, mul
 from typing import Iterable, NamedTuple
 
 from ._dial import dial_distances
-from .errors import CoverageError, InputError
+from .errors import CoverageError, InputError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, validate
 from .series import MultivariateRationalSeries, expand_mv_series
 
@@ -130,13 +131,12 @@ def vertex_codec(
         raise ValueError(f"a move's vector length does not match dimension {g.dim}")
     if any(deg < 1 for deg, _ in moves):
         raise ValueError("a move that changes the vertex needs degree at least 1")
+    # an edge orbit is a move whose degree is its weight
+    moves |= {(e.weight, e.shift) for e in g.edges}
     offsets, spans, strides = [], [], []
     stride = g.num_orbits
     for axis in range(g.dim):
-        per_degree = max((abs(e.shift[axis]) for e in g.edges), default=0)
-        for deg, vec in moves:
-            per_degree = max(per_degree, -(-abs(vec[axis]) // deg))
-        reach = radius * per_degree
+        reach = radius * max((-(-abs(vec[axis]) // deg) for deg, vec in moves), default=0)
         offsets.append(reach)
         spans.append(2 * reach + 1)
         strides.append(stride)
@@ -182,12 +182,73 @@ def growth_sequence(
     *,
     cap: int = DEFAULT_BALL_CAP,
 ) -> tuple[int, ...]:
-    """Number of vertices at each exact distance 0..radius."""
-    dist = packed_distances(g, vertex_codec(g, x0, radius), cap=cap)
+    """Number of vertices at each exact distance 0..radius.
+
+    The shells are counted as bit rows (`_shell_counts`) when (a) at least
+    two codec axes have span > 1, so shells grow with the radius, and (b)
+    (radius + 1) * orbits * prod(spans) <= 64 * cap, which bounds the rows'
+    memory and word operations by the cap.  Otherwise they are counted from
+    the Dial ball, `packed_distances`: on a 1-D cover a shell holds a few
+    vertices and the rows would cost more than the search.  The worst case
+    (b) admits is a rank-1 graph drawn in the plane: at the default cap the
+    steps +-(1, 1) at radius 542 fill 543 * 1085^2, about 6.4e8 bits, for a
+    ball of only 1,085 vertices.  Either way a ball of more than `cap`
+    vertices raises ResourceLimitError.
+    """
+    codec = vertex_codec(g, x0, radius)
+    if (
+        sum(span > 1 for span in codec.spans) >= 2
+        and (radius + 1) * codec.orbits * prod(codec.spans) <= 64 * cap
+    ):
+        return tuple(_shell_counts(g, codec, cap))
     terms = [0] * (radius + 1)
-    for d in dist.values():
+    for d in packed_distances(g, codec, cap=cap).values():
         terms[d] += 1
     return tuple(terms)
+
+
+def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:
+    """Shell sizes 0..codec.radius, counted on big-int bit rows.
+
+    Cell = key // orbits.  Each pending distance keeps one int per orbit,
+    bit k set when cell k of that orbit is reached at that distance, and an
+    edge orbit shifts its source's row by its cell delta into its target's
+    row, weight by weight, lightest first, as the Dial kernel steps keys.
+    By the no-carry invariant no shift crosses a digit or falls off bit 0.
+    """
+    orbits, radius = codec.orbits, codec.radius
+    steps = []
+    for orbit in range(orbits):
+        by_weight: dict[int, list[tuple[int, int]]] = {}
+        for e in g.out_edges(orbit):
+            by_weight.setdefault(e.weight, []).append(
+                (e.dst, codec.delta(e.shift) // orbits)
+            )
+        steps.append(sorted(by_weight.items()))
+    unseen = [(1 << prod(codec.spans)) - 1] * orbits
+    pending = [[0] * orbits for _ in range(radius + 1)]
+    pending[0][codec.base.orbit] = 1 << (codec.encode(codec.base) // orbits)
+    terms = [0] * (radius + 1)
+    total = 0
+    for d in range(radius + 1):
+        row, pending[d] = pending[d], None  # free the shell once it is read
+        for orbit, bits in enumerate(row):
+            bits &= unseen[orbit]
+            if not bits:
+                continue
+            unseen[orbit] ^= bits
+            size = bits.bit_count()
+            terms[d] += size
+            total += size
+            if total > cap:
+                raise ResourceLimitError(f"ball size exceeded {cap} nodes; raise the cap")
+            for w, edges in steps[orbit]:
+                if d + w > radius:
+                    break
+                target = pending[d + w]
+                for dst, delta in edges:
+                    target[dst] |= bits << delta if delta >= 0 else bits >> -delta
+    return terms
 
 
 def graded_growth_slice(

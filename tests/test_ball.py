@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perigrowth import ball
 from perigrowth.ball import (
+    _shell_counts,
     distances_upto,
     graded_growth_slice,
     growth_sequence,
+    packed_distances,
     relative_counts,
     vertex_codec,
 )
@@ -21,7 +24,7 @@ from perigrowth.periodic_graph import (
     translate,
 )
 
-from conftest import SEED
+from conftest import SEED, data_text
 from oracles import dijkstra_ball, honeycomb_patch_growth, square_lattice_count
 
 
@@ -82,8 +85,49 @@ def test_honeycomb_growth_matches_patch_bfs(honeycomb):
 
 def test_square_growth_large_radius(square):
     assert [square_lattice_count(k) for k in range(1, 21)] == [4 * k for k in range(1, 21)]
-    terms = growth_sequence(square, PeriodicVertex(0, (0, 0)), 200)
-    assert list(terms) == [1] + [4 * k for k in range(1, 201)]
+    terms = growth_sequence(square, PeriodicVertex(0, (0, 0)), 400)
+    assert list(terms) == [1] + [4 * k for k in range(1, 401)]
+
+
+@pytest.fixture
+def dial_balls(monkeypatch):
+    """The codec of every Dial ball `growth_sequence` runs from here on."""
+    codecs = []
+
+    def counted(g, codec, **kwargs):
+        codecs.append(codec)
+        return packed_distances(g, codec, **kwargs)
+
+    monkeypatch.setattr(ball, "packed_distances", counted)
+    return codecs
+
+
+@pytest.mark.parametrize(
+    "radius, dial_runs",
+    [
+        # 31 * 61^2 <= 64 * 1860: rule (b) holds one vertex below the ball
+        pytest.param(30, 0, id="bit-rows"),
+        # 201 * 401^2 > 64 * 80401: rule (b) sends the count to the Dial
+        pytest.param(200, 1, id="dial"),
+    ],
+)
+def test_growth_cap_boundary(square, dial_balls, radius, dial_runs):
+    # both counting paths hold a ball of exactly `cap` vertices and raise
+    # the same error one vertex below it
+    size = 2 * radius * (radius + 1) + 1
+    origin = PeriodicVertex(0, (0, 0))
+    assert sum(growth_sequence(square, origin, radius, cap=size)) == size
+    assert len(dial_balls) == dial_runs
+    with pytest.raises(
+        ResourceLimitError, match=rf"^ball size exceeded {size - 1} nodes; raise the cap$"
+    ):
+        growth_sequence(square, origin, radius, cap=size - 1)
+
+
+def test_one_dimensional_growth_keeps_the_dial(z_pm, dial_balls):
+    # rule (a): a single axis of span > 1 keeps the count on the Dial ball
+    assert growth_sequence(z_pm, PeriodicVertex(0, (0,)), 400) == (1,) + (2,) * 400
+    assert len(dial_balls) == 1
 
 
 def test_honeycomb_growth_large_radius(honeycomb):
@@ -104,18 +148,34 @@ def cover_balls(draw):
                 st.tuples(*[st.integers(-2, 2)] * dim),
                 st.integers(1, 3),
             ),
-            max_size=4,
+            min_size=1,
+            max_size=5,
         )
     )
     if draw(st.booleans()):  # inverse-closed: every edge has its reverse
         edges += [(dst, src, tuple(-s for s in shift), w) for src, dst, shift, w in edges]
     base = (draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-5, 5)] * dim)))
-    return dim, n, edges, base, draw(st.integers(0, 5))
+    return dim, n, edges, base, draw(st.integers(0, 10))
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+# unit square steps beside a long heavy edge that shortens walks to the left:
+# ceil(7 / 3) = 3 cells per weight on the first axis, not 7
+HEAVY_EDGE = (
+    2,
+    1,
+    [(0, 0, (1, 0), 1), (0, 0, (-1, 0), 1), (0, 0, (0, 1), 1), (0, 0, (0, -1), 1),
+     (0, 0, (-7, 3), 3)],
+    (0, (3, -2)),
+    10,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
 @given(cover_balls())
+@example(HEAVY_EDGE)
 def test_ball_matches_heap_dijkstra(case):
+    # the Dial ball, and both shell counters called directly, whatever
+    # rules (a) and (b) would pick
     dim, n, edges, base, radius = case
     g = QuotientGraph(
         dim,
@@ -129,27 +189,38 @@ def test_ball_matches_heap_dijkstra(case):
     terms = [0] * (radius + 1)
     for d in expected.values():
         terms[d] += 1
+    codec = vertex_codec(g, x0, radius)
+    dial_terms = [0] * (radius + 1)
+    for d in packed_distances(g, codec).values():
+        dial_terms[d] += 1
+    assert dial_terms == terms
+    assert _shell_counts(g, codec, len(expected)) == terms
     assert list(growth_sequence(g, x0, radius)) == terms
 
 
 @pytest.mark.parametrize(
-    "moves, reach",
+    "extra_edges, moves, reach",
     [
-        pytest.param((), (3, 3), id="edges"),
+        pytest.param("", (), (3, 3), id="edges"),
         # ceil(5/3) = 2 per degree on the first axis, the edges' 1 on the second
-        pytest.param({(3, (-5, 2))}, (6, 3), id="slow-move"),
-        pytest.param({(1, (7, 7)), (1, (-5, 2))}, (21, 21), id="fast-moves"),
+        pytest.param("", {(3, (-5, 2))}, (6, 3), id="slow-move"),
+        pytest.param("", {(1, (7, 7)), (1, (-5, 2))}, (21, 21), id="fast-moves"),
         # a move that stays put, of any degree, leaves the layout alone
-        pytest.param({(0, (0, 0)), (2, (0, 0))}, (3, 3), id="degree-0"),
+        pytest.param("", {(0, (0, 0)), (2, (0, 0))}, (3, 3), id="degree-0"),
+        # an edge is sized as a move whose degree is its weight: the long
+        # heavy edge adds ceil(50/100) = 1 per degree, as the unit steps do
+        pytest.param("edge a a 50 0 100\nedge b b -50 0 100\n", (), (3, 3), id="heavy-edge"),
     ],
 )
-def test_codec_round_trips_at_the_radius_edge(honeycomb, moves, reach):
+def test_codec_round_trips_at_the_radius_edge(extra_edges, moves, reach):
     # every corner base +- reach of the radius-3 box, on every orbit, around
     # a base with negative coordinates
+    g = parse_periodic_graph(data_text("honeycomb.pg") + extra_edges)
     base = PeriodicVertex(1, (-4, -7))
-    codec = vertex_codec(honeycomb, base, 3, moves)
+    codec = vertex_codec(g, base, 3, moves)
+    assert codec.offsets == reach
     keys = set()
-    for orbit in range(honeycomb.num_orbits):
+    for orbit in range(g.num_orbits):
         for signs in itertools.product((-1, 0, 1), repeat=2):
             coord = tuple(b + s * r for b, s, r in zip(base.coord, signs, reach))
             v = PeriodicVertex(orbit, coord)

@@ -203,6 +203,23 @@ def test_ball_cap_exits_2_with_empty_stdout(capsys):
 
 
 @pytest.mark.parametrize(
+    "cap, radius",
+    [
+        # one vertex below the ball: on bit rows at radius 30, on the Dial
+        # at radius 200, where 201 * 401^2 > 64 * 80400
+        pytest.param("1860", "30", id="bit-rows"),
+        pytest.param("80400", "200", id="dial"),
+    ],
+)
+def test_ball_cap_boundary_exits_2(capsys, cap, radius):
+    code, out, err = run_cli(
+        capsys, "--max-ball", cap, "pg", "growth", data_path("square.pg"), "--upto", radius
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: ball size exceeded {cap} nodes; raise the cap\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--max-cycles", "1", "pg", "decompose", data_path("honeycomb.pg"),
@@ -261,8 +278,13 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeyc
         ["enumerate_cycles", "packed_distances", "support_distances"]
         + ["dial_distances"] * searches
     )
+    # `pg growth` on the plane counts its shells as bit rows and runs no
+    # search; on the 1-D z_pm it counts them from one Dial ball
     calls.clear()
     code, _, _ = run_cli(capsys, "pg", "growth", data_path("honeycomb.pg"), "--upto", "6")
+    assert code == 0
+    assert calls == []
+    code, _, _ = run_cli(capsys, "pg", "growth", data_path("z_pm.pg"), "--upto", "6")
     assert code == 0
     assert sorted(calls) == ["dial_distances", "packed_distances"]
 
