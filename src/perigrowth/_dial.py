@@ -4,9 +4,11 @@
 bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
 takes the steps of class v % classes, the orbit of a packed cover vertex
 or the (orbit, support mask) of a support-graded state.  It drives every
-search that needs distances: the ball, the support-graded search and the
-per-subset minimum-degree searches.  Shell counts, which need none, run on
-bit rows instead when `ball.growth_sequence`'s rules (a) and (b) hold.
+search that needs distances: the ball, and the support-graded search and
+the per-subset minimum-degree searches of the decomposition.  The shell
+counts of `ball.growth_sequence` and the whole cover check of
+`decomposition.verify_cover` run on bit rows instead when `ball.rows_fit`
+admits them.
 Each start carries its own initial distance.  A class's steps are listed
 and grouped by weight the first time a node of that class is settled, so
 the search builds only the classes it reaches.  Every step weighs at

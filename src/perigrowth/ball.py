@@ -19,11 +19,15 @@ where stride_0 is the number of orbits and stride_{i+1} = stride_i *
 shift).  An edge orbit or a move is then a precomputed integer delta (dst -
 src plus its shift dotted with the strides), and following it is one
 integer addition.  Since stride_0 is the number of orbits, key % orbits is
-the orbit, so the Dial kernel, which runs every search that needs
-distances, takes one step class per orbit: that orbit's out-edge deltas,
-listed when the search first settles a vertex of it.  Shell counts need no
-distances, and `growth_sequence` counts them on bit rows of the cells
-key // orbits when its rules (a) and (b) hold.
+the orbit, so the Dial kernel takes one step class per orbit: that orbit's
+out-edge deltas, listed when the search first settles a vertex of it.
+Sets that are upward closed in distance can instead be held as bit rows of
+the cells key // orbits, one row per state and distance, where an edge is
+a shift by its cell delta (`first_reach_rows`).  `rows_fit` decides which
+is used, from the layout and the cap alone: `growth_sequence` counts
+shells on rows, and `decomposition.verify_cover` checks the cover on them,
+when it holds, and both fall back to the Dial otherwise.  Every other
+search that needs distances runs on the Dial.
 
 No-carry invariant: every vertex a search reaches is the end of edges and
 moves of total degree at most R, each shifting axis i by at most its degree
@@ -36,9 +40,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from operator import le, mul
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._dial import dial_distances
 from .errors import CoverageError, InputError, ResourceLimitError
@@ -100,11 +105,14 @@ class VertexCodec(NamedTuple):
         )
 
     def decode(self, key: int) -> PeriodicVertex:
-        coord = tuple(
+        return PeriodicVertex(key % self.orbits, self.coord(key))
+
+    def coord(self, key: int) -> Vector:
+        """The lattice coordinate of the packed key; every decode runs through here."""
+        return tuple(
             key // t % span - o + b
             for t, span, o, b in zip(self.strides, self.spans, self.offsets, self.base.coord)
         )
-        return PeriodicVertex(key % self.orbits, coord)
 
 
 def vertex_codec(
@@ -184,22 +192,17 @@ def growth_sequence(
 ) -> tuple[int, ...]:
     """Number of vertices at each exact distance 0..radius.
 
-    The shells are counted as bit rows (`_shell_counts`) when (a) at least
-    two codec axes have span > 1, so shells grow with the radius, and (b)
-    (radius + 1) * orbits * prod(spans) <= 64 * cap, which bounds the rows'
-    memory and word operations by the cap.  Otherwise they are counted from
-    the Dial ball, `packed_distances`: on a 1-D cover a shell holds a few
-    vertices and the rows would cost more than the search.  The worst case
-    (b) admits is a rank-1 graph drawn in the plane: at the default cap the
+    The shells are counted as bit rows (`_shell_counts`) when `rows_fit`
+    admits one row set, and otherwise from the Dial ball,
+    `packed_distances`: on a 1-D cover a shell holds a few vertices and
+    the rows would cost more than the search.  The worst case the rule
+    admits is a rank-1 graph drawn in the plane: at the default cap the
     steps +-(1, 1) at radius 542 fill 543 * 1085^2, about 6.4e8 bits, for a
     ball of only 1,085 vertices.  Either way a ball of more than `cap`
     vertices raises ResourceLimitError.
     """
     codec = vertex_codec(g, x0, radius)
-    if (
-        sum(span > 1 for span in codec.spans) >= 2
-        and (radius + 1) * codec.orbits * prod(codec.spans) <= 64 * cap
-    ):
+    if rows_fit(codec, 1, cap):
         return tuple(_shell_counts(g, codec, cap))
     terms = [0] * (radius + 1)
     for d in packed_distances(g, codec, cap=cap).values():
@@ -207,48 +210,91 @@ def growth_sequence(
     return tuple(terms)
 
 
-def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:
-    """Shell sizes 0..codec.radius, counted on big-int bit rows.
+def rows_fit(codec: VertexCodec, row_sets: int, cap: int) -> bool:
+    """Whether a search over `codec` runs on bit rows rather than the Dial.
 
-    Cell = key // orbits.  Each pending distance keeps one int per orbit,
-    bit k set when cell k of that orbit is reached at that distance, and an
-    edge orbit shifts its source's row by its cell delta into its target's
-    row, weight by weight, lightest first, as the Dial kernel steps keys.
-    By the no-carry invariant no shift crosses a digit or falls off bit 0.
+    A row set is (radius + 1) * orbits rows of one bit per cell.  Rows are
+    used when (a) at least two codec axes have span > 1, so shells grow
+    with the radius, and (b) the `row_sets` row sets the caller holds at
+    once fit in 64 * cap bits, which bounds their memory and word
+    operations by the cap.
     """
-    orbits, radius = codec.orbits, codec.radius
-    steps = []
-    for orbit in range(orbits):
-        by_weight: dict[int, list[tuple[int, int]]] = {}
-        for e in g.out_edges(orbit):
-            by_weight.setdefault(e.weight, []).append(
-                (e.dst, codec.delta(e.shift) // orbits)
-            )
-        steps.append(sorted(by_weight.items()))
-    unseen = [(1 << prod(codec.spans)) - 1] * orbits
-    pending = [[0] * orbits for _ in range(radius + 1)]
-    pending[0][codec.base.orbit] = 1 << (codec.encode(codec.base) // orbits)
-    terms = [0] * (radius + 1)
+    return (
+        sum(span > 1 for span in codec.spans) >= 2
+        and (codec.radius + 1) * codec.orbits * prod(codec.spans) * row_sets <= 64 * cap
+    )
+
+
+def first_reach_rows(
+    codec: VertexCodec,
+    start: int,
+    steps: Callable[[int], list[tuple[int, int, int]]],
+    *,
+    cap: int,
+    cap_what: str,
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Per distance 0..codec.radius, the cells each state first reaches there.
+
+    A state is an int; each keeps one row per pending distance, bit k set
+    when cell k (key // orbits) is reached in that state at that distance.
+    The walk starts at the base's cell in state `start`; state s steps into
+    state t at weight w >= 1, shifting its row by the cell delta c, for
+    each (t, c, w) in the list steps(s), asked for once per state.  By the
+    no-carry invariant no shift crosses a digit or falls off bit 0.  Yields
+    (count, {state: bits}) per distance: the cells new to their state and
+    how many they are.  Raises ResourceLimitError once more than `cap`
+    (cell, state) pairs are reached.
+    """
+    radius = codec.radius
+    full = (1 << prod(codec.spans)) - 1
+    unseen: dict[int, int] = {}
+    steps = cache(steps)
+    pending: list = [{} for _ in range(radius + 1)]
+    pending[0][start] = 1 << (codec.encode(codec.base) // codec.orbits)
     total = 0
     for d in range(radius + 1):
-        row, pending[d] = pending[d], None  # free the shell once it is read
-        for orbit, bits in enumerate(row):
-            bits &= unseen[orbit]
+        row, pending[d] = pending[d], None  # free the rows once they are read
+        fresh = {}
+        size = 0
+        for state, bits in row.items():
+            bits &= unseen.get(state, full)
             if not bits:
                 continue
-            unseen[orbit] ^= bits
-            size = bits.bit_count()
-            terms[d] += size
-            total += size
-            if total > cap:
-                raise ResourceLimitError(f"ball size exceeded {cap} nodes; raise the cap")
-            for w, edges in steps[orbit]:
-                if d + w > radius:
-                    break
-                target = pending[d + w]
-                for dst, delta in edges:
-                    target[dst] |= bits << delta if delta >= 0 else bits >> -delta
-    return terms
+            unseen[state] = unseen.get(state, full) ^ bits
+            fresh[state] = bits
+            size += bits.bit_count()
+            if total + size > cap:
+                raise ResourceLimitError(f"{cap_what} exceeded {cap} nodes; raise the cap")
+            for t, c, w in steps(state):
+                if d + w <= radius:
+                    target = pending[d + w]
+                    target[t] = target.get(t, 0) | shift(bits, c)
+        total += size
+        yield size, fresh
+
+
+def shift(bits: int, cells: int) -> int:
+    """The row bits moved up by `cells` (down when negative)."""
+    return bits << cells if cells >= 0 else bits >> -cells
+
+
+def ball_rows(
+    g: QuotientGraph, codec: VertexCodec, cap: int
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """`first_reach_rows` of the ball: one state per orbit, the shells per distance."""
+
+    def steps(orbit: int):
+        return [
+            (e.dst, codec.delta(e.shift) // codec.orbits, e.weight)
+            for e in g.out_edges(orbit)
+        ]
+
+    return first_reach_rows(codec, codec.base.orbit, steps, cap=cap, cap_what="ball size")
+
+
+def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:
+    """Shell sizes 0..codec.radius, counted on bit rows."""
+    return [size for size, _ in ball_rows(g, codec, cap)]
 
 
 def graded_growth_slice(

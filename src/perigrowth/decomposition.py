@@ -14,9 +14,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+from typing import Iterator
 
 from ._dial import dial_distances
-from .ball import DEFAULT_BALL_CAP, VertexCodec, packed_distances, vertex_codec
+from .ball import (
+    DEFAULT_BALL_CAP,
+    VertexCodec,
+    ball_rows,
+    first_reach_rows,
+    packed_distances,
+    rows_fit,
+    shift,
+    vertex_codec,
+)
 from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
 from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
@@ -183,15 +195,23 @@ def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
 def _module_gens(
     codec: VertexCodec, group, bound: int, exhaustive: bool
 ) -> GradedModuleGens:
+    """The generators (d, vertex) of the packed (key, d) with d <= bound.
+
+    They are sorted as (degree, orbit, coord) tuples, the order of
+    (degree, PeriodicVertex), and each vertex is built after the sort.
+    """
     gens = []
     for key, d in group:
         if d <= bound:
-            v = codec.decode(key)
+            orbit, coord = key % codec.orbits, codec.coord(key)
             if exhaustive:
-                gens.extend((i, v) for i in range(d, bound + 1))
+                gens.extend((i, orbit, coord) for i in range(d, bound + 1))
             else:
-                gens.append((d, v))
-    return GradedModuleGens(bound, tuple(sorted(gens)))
+                gens.append((d, orbit, coord))
+    gens.sort()
+    return GradedModuleGens(
+        bound, tuple((d, PeriodicVertex(orbit, coord)) for d, orbit, coord in gens)
+    )
 
 
 def build_XS_generators(
@@ -337,11 +357,16 @@ def verify_cover(
     exactly when these two maps are, and `covered`, `module_sizes` and the
     sorted `missing` and `extra` witnesses are rebuilt from the maps.
 
-    Cycles are enumerated once, the ball and the support-graded search run
-    once, at the radius, and m_S takes one multi-source search per S.
-    Every search runs on the packed keys of one `ball.VertexCodec`, sized
-    by the edges and every monoid generator, so all of them stay exact.  Keys are decoded to `PeriodicVertex` only for
-    the module generators, the `missing` and `extra` witnesses and the
+    Cycles are enumerated once, and the ball and the support-graded search
+    run once, at the radius.  Every map is kept on the packed keys of one
+    `ball.VertexCodec`, sized by the edges and every monoid generator, so
+    all of them stay exact.  When
+    `ball.rows_fit` admits 2^n + 4 row sets (the target, the union, the 2^n
+    support masks, and one subset's cumulative support rows and module
+    rows), the maps are held as cumulative bit rows (`_cover_on_rows`);
+    otherwise they are dicts filled by Dial searches (`_cover_on_dial`).
+    Both give the same report.  Keys are decoded to `PeriodicVertex` only
+    for the module generators, the `missing` and `extra` witnesses and the
     action witnesses.  `cap` bounds the vertices of each search: the ball,
     the support-graded states and the vertices reached per subset (not the
     pairs).  The report also carries, per S, the monoid, the module
@@ -356,6 +381,16 @@ def verify_cover(
     monoids = {S: _monoid(g.dim, S, cycle_data) for S in all_support_sets(g)}
     moves = {gen for monoid in monoids.values() for gen in monoid.generators}
     codec = vertex_codec(g, x0, radius, moves)
+    cover = _cover_on_rows if rows_fit(codec, 2**g.num_orbits + 4, cap) else _cover_on_dial
+    return cover(g, codec, monoids, exhaustive, cap, max_witnesses)
+
+
+def _cover_on_dial(
+    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int, k: int
+) -> CoverReport:
+    """`verify_cover` by least-degree dicts: the ball and the support-graded
+    search run once, and m_S takes one multi-source search per S."""
+    radius = codec.radius
     target = packed_distances(g, codec, cap=cap)
     groups = _support_groups(g, codec, cap)
     union: dict[int, int] = {}
@@ -372,15 +407,163 @@ def verify_cover(
             if union.get(key, d + 1) > d:
                 union[key] = d
         blocks.append((S, monoid, gens, _action(codec, group, monoid, radius)))
+    ok = union == target
     return CoverReport(
-        ok=union == target,
+        ok=ok,
         radius=radius,
         covered=_pair_count(target, radius),
-        missing=_witnesses(codec, target, union, radius, max_witnesses),
-        extra=_witnesses(codec, union, target, radius, max_witnesses),
+        missing=() if ok else _witnesses(codec, target, union, radius, k),
+        extra=() if ok else _witnesses(codec, union, target, radius, k),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )
+
+
+def _cover_on_rows(
+    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int, k: int
+) -> CoverReport:
+    """`verify_cover` on cumulative bit rows over the cells key // orbits.
+
+    Every map becomes rows[orbit][d], the cells whose least degree is at
+    most d: the target from `ball.ball_rows`; per support mask S the
+    exact-support rows F_S (first reached at d) from one
+    `ball.first_reach_rows` over the states orbit << n | mask, and their
+    cumulative C_S; and the module rows M_S[d] = M_S[d - 1] | F_S[d] (for
+    d <= bound) | shift(M_S[d - gd], cell delta of v) over the moving
+    monoid generators (gd, v).  The pair counts are the popcounts summed
+    over d, the union is the OR of the M_S, and cap errors keep the Dial
+    texts and order: ball, then support-graded states, then per subset.
+    """
+    n, radius = codec.orbits, codec.radius
+    target = [[0] * (radius + 1) for _ in range(n)]
+    for d, (_, shell) in enumerate(ball_rows(g, codec, cap)):
+        for orbit, bits in shell.items():
+            target[orbit][d] = bits
+    target = [list(accumulate(rows, or_)) for rows in target]
+
+    low = (1 << n) - 1
+
+    def steps(state: int):  # state = orbit << n | support mask
+        return [
+            (e.dst << n | state & low | 1 << e.dst, codec.delta(e.shift) // n, e.weight)
+            for e in g.out_edges(state >> n)
+        ]
+
+    first: dict[int, list[list[int]]] = {}  # mask -> F_S[orbit][d]
+    start = codec.base.orbit << n | 1 << codec.base.orbit
+    states = first_reach_rows(codec, start, steps, cap=cap, cap_what="support-graded ball")
+    for d, (_, fresh) in enumerate(states):
+        for state, bits in fresh.items():
+            rows = first.setdefault(state & low, [[0] * (radius + 1) for _ in range(n)])
+            rows[state >> n][d] = bits
+
+    union = [[0] * (radius + 1) for _ in range(n)]
+    sizes: dict[SupportSet, int] = {}
+    blocks = []
+    for S, monoid in monoids.items():
+        exact = first.get(sum(1 << i for i in S), [[0] * (radius + 1)] * n)
+        bound = min(module_degree_bound(g, S), radius)
+        group = [
+            (orbit + n * cell, d)
+            for orbit, rows in enumerate(exact)
+            for d, bits in enumerate(rows[: bound + 1])
+            if bits
+            for cell in _cells(bits)
+        ]
+        gens = _module_gens(codec, group, bound, exhaustive)
+        moving = sorted((gd, codec.delta(vec) // n) for gd, vec in monoid.generators if any(vec))
+        sizes[S] = held = 0
+        for orbit, rows in enumerate(exact):
+            if not any(rows):
+                continue
+            piece = _saturate(rows[: bound + 1], moving, radius)
+            held += piece[-1].bit_count()
+            if held > cap:
+                raise ResourceLimitError(f"module saturation exceeded {cap} nodes; raise the cap")
+            sizes[S] += sum(bits.bit_count() for bits in piece)
+            union[orbit] = list(map(or_, union[orbit], piece))
+        cumulative = [list(accumulate(rows, or_)) for rows in exact]
+        blocks.append((S, monoid, gens, _row_action(codec, exact, cumulative, monoid)))
+    ok = union == target
+    return CoverReport(
+        ok=ok,
+        radius=radius,
+        covered=sum(bits.bit_count() for rows in target for bits in rows),
+        missing=() if ok else _row_witnesses(codec, target, union, k),
+        extra=() if ok else _row_witnesses(codec, union, target, k),
+        module_sizes=sizes,
+        blocks=tuple(blocks),
+    )
+
+
+def _cells(bits: int) -> Iterator[int]:
+    """The set bits of a row, lowest first."""
+    digits = bin(bits)[:1:-1]  # bit i is digits[i]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
+def _saturate(seeds: list[int], moving, radius: int) -> list[int]:
+    """Cumulative module rows 0..radius of one orbit.
+
+    seeds[d] holds the generators of degree d; `moving` lists each monoid
+    generator that moves the vertex as (degree, cell delta), lightest first.
+    """
+    rows: list[int] = []
+    bits = 0
+    for d in range(radius + 1):
+        if d < len(seeds):
+            bits |= seeds[d]
+        for gd, delta in moving:
+            if gd > d:
+                break
+            bits |= shift(rows[d - gd], delta)
+        rows.append(bits)
+    return rows
+
+
+def _row_action(codec: VertexCodec, exact, cumulative, monoid: GradedMonoid) -> ActionReport:
+    """`_action` on the exact-support rows of S and their cumulative rows.
+
+    The elements of least weight d at which generator (gd, v) fails are
+    exact[orbit][d] & ~shift(cumulative[orbit][d + gd], -delta), delta the
+    cell delta of v.  Orbit leads the vertex order, so the witness comes
+    from the first orbit that fails.
+    """
+    n, radius = codec.orbits, codec.radius
+    for gd, gvec in sorted(monoid.generators):
+        if not any(gvec):
+            continue
+        delta = codec.delta(gvec)
+        for orbit, (rows, cum) in enumerate(zip(exact, cumulative)):
+            failing = [
+                (d, rows[d] & ~shift(cum[d + gd], -(delta // n)))
+                for d in range(radius - gd + 1)
+                if rows[d]
+            ]
+            keys = [
+                (orbit + n * cell, d) for d, bits in failing if bits for cell in _cells(bits)
+            ]
+            if keys:
+                y, d, key = min((codec.decode(key), d, key) for key, d in keys)
+                image = codec.decode(key + delta)
+                return ActionReport(False, ((gd, gvec), (d, y), (d + gd, image)))
+    return ActionReport(True, None)
+
+
+def _row_witnesses(codec: VertexCodec, low, high, k: int) -> tuple:
+    """The k least pairs (i, y) with y in low[orbit][i] but not high[orbit][i]."""
+    n = codec.orbits
+    pairs = []
+    for i in range(codec.radius + 1):
+        for orbit in range(n):
+            bits = low[orbit][i] & ~high[orbit][i]
+            pairs.extend(sorted((i, codec.decode(orbit + n * cell)) for cell in _cells(bits)))
+            if len(pairs) >= k:
+                return tuple(pairs[:k])
+    return tuple(pairs)
 
 
 def verify_module_action(

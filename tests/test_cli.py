@@ -219,6 +219,57 @@ def test_ball_cap_boundary_exits_2(capsys, cap, radius):
     assert err == f"error: ball size exceeded {cap} nodes; raise the cap\n"
 
 
+# two orbits joined both ways, each with the eight king steps: at radius 4
+# its ball holds 130 vertices and its support-graded search 155 states
+KING = "dim 2\nvertex a\nvertex b\nedge a b 0 0 1\nedge b a 0 0 1\n" + "".join(
+    f"edge {v} {v} {s} {t} 1\n"
+    for v in "ab"
+    for s in (-1, 0, 1)
+    for t in (-1, 0, 1)
+    if s or t
+)
+
+
+@pytest.mark.parametrize(
+    "graph, size, what",
+    [
+        # square r=4: 41 vertices, and as many support states
+        pytest.param("square", 41, "ball size", id="ball"),
+        pytest.param("king", 155, "support-graded ball", id="supports"),
+        # a bogus diagonal generator takes the {v} piece past the ball, to 51
+        pytest.param("square-bogus", 51, "module saturation", id="saturation"),
+    ],
+)
+def test_decompose_cap_boundary_on_bit_rows(capsys, monkeypatch, tmp_path, graph, size, what):
+    # the cap admits the rows at both values, so each message is raised
+    # by the bit-row cover, at the exact count the Dial would raise it
+    path = data_path("square.pg")
+    if graph == "king":
+        path = tmp_path / "king.pg"
+        path.write_text(KING)
+    if graph == "square-bogus":
+        real = decomposition._monoid
+
+        def bogus(rank, S, cycle_data):
+            m = real(rank, S, cycle_data)
+            return decomposition.GradedMonoid(rank, m.generators + ((1, (1, 1)),))
+
+        monkeypatch.setattr(decomposition, "_monoid", bogus)
+    admitted = []
+    real_fit = decomposition.rows_fit
+    monkeypatch.setattr(
+        decomposition, "rows_fit", lambda *a: admitted.append(real_fit(*a)) or admitted[-1]
+    )
+    argv = ["pg", "decompose", str(path), "--upto", "4"]
+    code, out, err = run_cli(capsys, "--max-ball", str(size), *argv)
+    assert (code, err) == ((1, "") if graph == "square-bogus" else (0, ""))
+    assert out.startswith("perigrowth-format 1\n")
+    code, out, err = run_cli(capsys, "--max-ball", str(size - 1), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} exceeded {size - 1} nodes; raise the cap\n"
+    assert admitted == [True, True]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -249,11 +300,12 @@ def counting(calls, name, fn):
     return wrapper
 
 
-def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeycomb):
-    # one packed ball and no graded pair sets: the cover compares least
-    # degrees on packed keys, so the decoding `distances_upto` never runs;
-    # every weighted search is one `dial_distances` call: the ball, the
-    # support search and one least-degree search per orbit subset
+def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, z_pm):
+    # no graded pair sets: the cover compares least degrees on packed keys,
+    # so the decoding `distances_upto` never runs.  On the plane it holds
+    # them as bit rows and runs no Dial search; on the 1-D z_pm every
+    # weighted search is one `dial_distances` call: the ball, the support
+    # search and one least-degree search per orbit subset
     calls = []
     names = (
         "enumerate_cycles",
@@ -273,7 +325,11 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeyc
         capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
     )
     assert code == 0
-    searches = 2 + len(decomposition.all_support_sets(honeycomb))
+    assert calls == ["enumerate_cycles"]
+    calls.clear()
+    code, _, _ = run_cli(capsys, "pg", "decompose", data_path("z_pm.pg"), "--upto", "6")
+    assert code == 0
+    searches = 2 + len(decomposition.all_support_sets(z_pm))
     assert sorted(calls) == sorted(
         ["enumerate_cycles", "packed_distances", "support_distances"]
         + ["dial_distances"] * searches

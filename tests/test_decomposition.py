@@ -25,7 +25,7 @@ from perigrowth.periodic_graph import (
     parse_periodic_graph,
 )
 
-from conftest import SEED
+from conftest import SEED, data_text
 from oracles import (
     monoid_elements_by_exponents,
     pair_set_cover,
@@ -131,19 +131,23 @@ def test_verify_cover_honeycomb(honeycomb):
 
 def test_cover_decodes_only_the_module_generators(honeycomb, monkeypatch):
     # every search steps packed keys: no translate, and on a passing cover
-    # one decode per returned module generator
+    # one coordinate decoded per returned module generator, on bit rows and
+    # on the Dial alike (every decode runs through `VertexCodec.coord`)
     decoded = []
-    real = VertexCodec.decode
+    real = VertexCodec.coord
 
     def counting(codec, key):
         decoded.append(key)
         return real(codec, key)
 
-    monkeypatch.setattr(VertexCodec, "decode", counting)
+    monkeypatch.setattr(VertexCodec, "coord", counting)
     monkeypatch.setattr(decomposition, "translate", None)
-    report = verify_cover(honeycomb, V(1, (2, -1)), 20)
-    assert report.ok
-    assert len(decoded) == sum(len(gens.generators) for _, _, gens, _ in report.blocks)
+    for rows in (True, False):
+        monkeypatch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
+        decoded.clear()
+        report = verify_cover(honeycomb, V(1, (2, -1)), 20)
+        assert report.ok
+        assert len(decoded) == sum(len(gens.generators) for _, _, gens, _ in report.blocks)
 
 
 def test_verify_cover_orbit_guard():
@@ -276,6 +280,80 @@ def test_cover_by_least_degrees_matches_pair_sets(case):
     )
     assert report.ok
     assert_matches_pair_sets(report, g, x0, radius, max_witnesses)
+
+
+@st.composite
+def space_covers(draw):
+    """A random 3-D graph with 1-2 orbits and weights 1-2, directed or
+    inverse-closed, a base vertex, a radius and the cover options."""
+    n = draw(st.integers(1, 2))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.tuples(*[st.integers(-1, 1)] * 3),
+                st.integers(1, 2),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):  # inverse-closed: every edge has its reverse
+        edges += [(dst, src, tuple(-c for c in s), w) for src, dst, s, w in edges]
+    g = QuotientGraph(
+        3,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
+    x0 = V(draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-3, 3)] * 3)))
+    return g, x0, draw(st.integers(1, 4)), draw(st.booleans()), draw(st.integers(1, 4))
+
+
+HONEYCOMB = parse_periodic_graph(data_text("honeycomb.pg"))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.one_of(plane_covers(), space_covers()),
+    st.sampled_from(["sound", "degree bound 0", "bogus generator"]),
+    st.tuples(st.integers(1, 2), st.tuples(*[st.integers(-3, 3)] * 3)),
+)
+@example((HONEYCOMB, V(0, (0, 0)), 6, False, 3), "degree bound 0", (1, (0, 0, 0)))
+@example((HONEYCOMB, V(1, (2, -1)), 5, True, 4), "bogus generator", (1, (3, 0, 0)))
+@example((HONEYCOMB, V(0, (0, 0)), 3, False, 3), "bogus generator", (2, (-3, 2, 0)))
+def test_cover_paths_agree_with_pair_sets(case, fault, generator):
+    # the bit-row and Dial covers, each forced, return equal reports, and
+    # both match the pair-set oracle and the reference action, failing
+    # covers included: no generator above degree 0 leaves pairs missing,
+    # and a bogus monoid generator adds extra pairs and fails the action
+    g, x0, radius, exhaustive, max_witnesses = case
+    real = decomposition._monoid
+    gd, vec = generator[0], generator[1][: g.dim]
+    reports = []
+    with pytest.MonkeyPatch.context() as patch:
+        if fault == "degree bound 0":
+            patch.setattr(decomposition, "module_degree_bound", lambda g, S: 0)
+        if fault == "bogus generator":
+            patch.setattr(
+                decomposition,
+                "_monoid",
+                lambda rank, S, data: GradedMonoid(
+                    rank, real(rank, S, data).generators + ((gd, vec),)
+                ),
+            )
+        for rows in (True, False):
+            patch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
+            reports.append(
+                verify_cover(
+                    g, x0, radius, exhaustive=exhaustive, max_witnesses=max_witnesses
+                )
+            )
+    assert reports[0] == reports[1]
+    assert_matches_pair_sets(reports[0], g, x0, radius, max_witnesses)
+    sdist = support_state_distances(g, x0, radius)
+    for S, monoid, _, action in reports[0].blocks:
+        assert action == reference_action(sdist, S, monoid, radius)
 
 
 def shortened_walk_bound(g, S):
