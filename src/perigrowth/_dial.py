@@ -8,7 +8,8 @@ search that needs distances: the ball, and the support-graded search and
 the per-subset minimum-degree searches of the decomposition.  The shell
 counts of `ball.growth_sequence` and the whole cover check of
 `decomposition.verify_cover` run on bit rows instead when `ball.rows_fit`
-admits them.
+admits them: there every search, module saturation included, is one call
+of `ball.first_reach_rows`, seeded as this kernel is.
 Each start carries its own initial distance.  A class's steps are listed
 and grouped by weight the first time a node of that class is settled, so
 the search builds only the classes it reaches.  Every step weighs at

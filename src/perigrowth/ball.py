@@ -22,11 +22,12 @@ integer addition.  Since stride_0 is the number of orbits, key % orbits is
 the orbit, so the Dial kernel takes one step class per orbit: that orbit's
 out-edge deltas, listed when the search first settles a vertex of it.
 Sets that are upward closed in distance can instead be held as bit rows of
-the cells key // orbits, one row per state and distance, where an edge is
-a shift by its cell delta (`first_reach_rows`).  `rows_fit` decides which
-is used, from the layout and the cap alone: `growth_sequence` counts
-shells on rows, and `decomposition.verify_cover` checks the cover on them,
-when it holds, and both fall back to the Dial otherwise.  Every other
+the cells key // orbits, one row per state and distance, where an edge or
+a monoid generator is a shift by its cell delta; every such search, module
+saturation included, is one seeded `first_reach_rows` call.  `rows_fit`
+decides which is used, from the layout and the cap alone: `growth_sequence`
+counts shells on rows, and `decomposition.verify_cover` checks the cover on
+them, when it holds, and both fall back to the Dial otherwise.  Every other
 search that needs distances runs on the Dial.
 
 No-carry invariant: every vertex a search reaches is the end of edges and
@@ -227,7 +228,7 @@ def rows_fit(codec: VertexCodec, row_sets: int, cap: int) -> bool:
 
 def first_reach_rows(
     codec: VertexCodec,
-    start: int,
+    starts: Iterable[tuple[int, int, int]],
     steps: Callable[[int], list[tuple[int, int, int]]],
     *,
     cap: int,
@@ -235,22 +236,28 @@ def first_reach_rows(
 ) -> Iterator[tuple[int, dict[int, int]]]:
     """Per distance 0..codec.radius, the cells each state first reaches there.
 
-    A state is an int; each keeps one row per pending distance, bit k set
-    when cell k (key // orbits) is reached in that state at that distance.
-    The walk starts at the base's cell in state `start`; state s steps into
-    state t at weight w >= 1, shifting its row by the cell delta c, for
-    each (t, c, w) in the list steps(s), asked for once per state.  By the
-    no-carry invariant no shift crosses a digit or falls off bit 0.  Yields
-    (count, {state: bits}) per distance: the cells new to their state and
-    how many they are.  Raises ResourceLimitError once more than `cap`
-    (cell, state) pairs are reached.
+    A state is an int with one row per pending distance, bit k set when
+    cell k (key // orbits) is reached in it there.  Each start (d0, state,
+    bits) seeds those cells at distance d0; as in `dial_distances`, starts
+    beyond the radius are dropped and a cell seeded twice keeps its least
+    distance.  State s steps into state t at weight w >= 1, shifting its row
+    by the cell delta c, for each (t, c, w) in steps(s), asked for once per
+    state; by the no-carry invariant no shift crosses a digit or falls off
+    bit 0.  Yields (count, {state: bits}) per distance, the cells new to
+    their state.  Raises ValueError for a negative start distance and
+    ResourceLimitError once more than `cap` (cell, state) pairs, seeds
+    included, are reached.
     """
     radius = codec.radius
     full = (1 << prod(codec.spans)) - 1
     unseen: dict[int, int] = {}
     steps = cache(steps)
     pending: list = [{} for _ in range(radius + 1)]
-    pending[0][start] = 1 << (codec.encode(codec.base) // codec.orbits)
+    for d0, state, bits in starts:
+        if d0 < 0:
+            raise ValueError(f"negative start distance {d0}")
+        if d0 <= radius:
+            pending[d0][state] = pending[d0].get(state, 0) | bits
     total = 0
     for d in range(radius + 1):
         row, pending[d] = pending[d], None  # free the rows once they are read
@@ -289,7 +296,8 @@ def ball_rows(
             for e in g.out_edges(orbit)
         ]
 
-    return first_reach_rows(codec, codec.base.orbit, steps, cap=cap, cap_what="ball size")
+    start = (0, codec.base.orbit, 1 << codec.encode(codec.base) // codec.orbits)
+    return first_reach_rows(codec, [start], steps, cap=cap, cap_what="ball size")
 
 
 def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:

@@ -360,12 +360,13 @@ def verify_cover(
     Cycles are enumerated once, and the ball and the support-graded search
     run once, at the radius.  Every map is kept on the packed keys of one
     `ball.VertexCodec`, sized by the edges and every monoid generator, so
-    all of them stay exact.  When
-    `ball.rows_fit` admits 2^n + 4 row sets (the target, the union, the 2^n
-    support masks, and one subset's cumulative support rows and module
-    rows), the maps are held as cumulative bit rows (`_cover_on_rows`);
-    otherwise they are dicts filled by Dial searches (`_cover_on_dial`).
-    Both give the same report.  Keys are decoded to `PeriodicVertex` only
+    all of them stay exact.  When `ball.rows_fit` admits 2^n + 4 row sets
+    (the target, the union, the 2^n support masks, and one subset's
+    cumulative support rows and module rows), the maps are held as bit rows
+    and every search, module saturation included, is one seeded
+    `ball.first_reach_rows` call (`_cover_on_rows`); otherwise they are
+    dicts filled by Dial searches (`_cover_on_dial`).  Both give the same
+    report.  Keys are decoded to `PeriodicVertex` only
     for the module generators, the `missing` and `extra` witnesses and the
     action witnesses.  `cap` bounds the vertices of each search: the ball,
     the support-graded states and the vertices reached per subset (not the
@@ -422,24 +423,22 @@ def _cover_on_dial(
 def _cover_on_rows(
     g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int, k: int
 ) -> CoverReport:
-    """`verify_cover` on cumulative bit rows over the cells key // orbits.
+    """`verify_cover` on bit rows over the cells key // orbits.
 
-    Every map becomes rows[orbit][d], the cells whose least degree is at
-    most d: the target from `ball.ball_rows`; per support mask S the
-    exact-support rows F_S (first reached at d) from one
-    `ball.first_reach_rows` over the states orbit << n | mask, and their
-    cumulative C_S; and the module rows M_S[d] = M_S[d - 1] | F_S[d] (for
-    d <= bound) | shift(M_S[d - gd], cell delta of v) over the moving
-    monoid generators (gd, v).  The pair counts are the popcounts summed
-    over d, the union is the OR of the M_S, and cap errors keep the Dial
-    texts and order: ball, then support-graded states, then per subset.
+    Each search is one `ball.first_reach_rows` call, read by `_exact_rows`:
+    the target from `ball.ball_rows`; the exact-support rows F_S of every
+    support mask from one search over the states orbit << n | mask; and per
+    subset S the module from one search seeded with F_S up to the degree
+    bound, the state the orbit, each moving monoid generator (gd, v) a
+    shift by the cell delta of v at weight gd.  The target and the union of
+    the modules are compared as cumulative rows, row d the cells of least
+    degree <= d.  Cap errors keep the Dial texts and order: ball, then
+    support-graded states, then per subset.
     """
     n, radius = codec.orbits, codec.radius
-    target = [[0] * (radius + 1) for _ in range(n)]
-    for d, (_, shell) in enumerate(ball_rows(g, codec, cap)):
-        for orbit, bits in shell.items():
-            target[orbit][d] = bits
-    target = [list(accumulate(rows, or_)) for rows in target]
+    zero = [0] * (radius + 1)
+    covered, target = _exact_rows(ball_rows(g, codec, cap), radius)
+    target = [list(accumulate(target.get(orbit, zero), or_)) for orbit in range(n)]
 
     low = (1 << n) - 1
 
@@ -449,51 +448,57 @@ def _cover_on_rows(
             for e in g.out_edges(state >> n)
         ]
 
-    first: dict[int, list[list[int]]] = {}  # mask -> F_S[orbit][d]
-    start = codec.base.orbit << n | 1 << codec.base.orbit
-    states = first_reach_rows(codec, start, steps, cap=cap, cap_what="support-graded ball")
-    for d, (_, fresh) in enumerate(states):
-        for state, bits in fresh.items():
-            rows = first.setdefault(state & low, [[0] * (radius + 1) for _ in range(n)])
-            rows[state >> n][d] = bits
+    base = codec.base.orbit
+    start = (0, base << n | 1 << base, 1 << codec.encode(codec.base) // n)
+    search = first_reach_rows(codec, [start], steps, cap=cap, cap_what="support-graded ball")
+    first: dict[int, dict[int, list[int]]] = {}  # mask -> {orbit: F_S rows}
+    for state, rows in sorted(_exact_rows(search, radius)[1].items()):  # by orbit first
+        first.setdefault(state & low, {})[state >> n] = rows
 
-    union = [[0] * (radius + 1) for _ in range(n)]
+    union = [zero] * n
     sizes: dict[SupportSet, int] = {}
     blocks = []
     for S, monoid in monoids.items():
-        exact = first.get(sum(1 << i for i in S), [[0] * (radius + 1)] * n)
+        exact = first.get(sum(1 << i for i in S), {})
         bound = min(module_degree_bound(g, S), radius)
-        group = [
-            (orbit + n * cell, d)
-            for orbit, rows in enumerate(exact)
+        seeds = [
+            (d, orbit, bits)
+            for orbit, rows in exact.items()
             for d, bits in enumerate(rows[: bound + 1])
             if bits
-            for cell in _cells(bits)
         ]
+        group = [(orbit + n * cell, d) for d, orbit, bits in seeds for cell in _cells(bits)]
         gens = _module_gens(codec, group, bound, exhaustive)
-        moving = sorted((gd, codec.delta(vec) // n) for gd, vec in monoid.generators if any(vec))
-        sizes[S] = held = 0
-        for orbit, rows in enumerate(exact):
-            if not any(rows):
-                continue
-            piece = _saturate(rows[: bound + 1], moving, radius)
-            held += piece[-1].bit_count()
-            if held > cap:
-                raise ResourceLimitError(f"module saturation exceeded {cap} nodes; raise the cap")
-            sizes[S] += sum(bits.bit_count() for bits in piece)
-            union[orbit] = list(map(or_, union[orbit], piece))
-        cumulative = [list(accumulate(rows, or_)) for rows in exact]
-        blocks.append((S, monoid, gens, _row_action(codec, exact, cumulative, monoid)))
+        moves = [(codec.delta(vec) // n, gd) for gd, vec in monoid.generators if any(vec)]
+        search = first_reach_rows(
+            codec, seeds, lambda o: [(o, *m) for m in moves], cap=cap, cap_what="module saturation"
+        )
+        sizes[S], piece = _exact_rows(search, radius)
+        for orbit, rows in piece.items():
+            union[orbit] = list(map(or_, union[orbit], accumulate(rows, or_)))
+        blocks.append((S, monoid, gens, _row_action(codec, exact, monoid)))
     ok = union == target
     return CoverReport(
         ok=ok,
         radius=radius,
-        covered=sum(bits.bit_count() for rows in target for bits in rows),
+        covered=covered,
         missing=() if ok else _row_witnesses(codec, target, union, k),
         extra=() if ok else _row_witnesses(codec, union, target, k),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )
+
+
+def _exact_rows(search, radius: int) -> tuple[int, dict[int, list[int]]]:
+    """The pairs (i, cell) with d <= i <= radius of a `first_reach_rows` search,
+    counted, and its exact rows: rows[state][d], the cells first reached at d."""
+    pairs = 0
+    rows: dict[int, list[int]] = {}
+    for d, (size, fresh) in enumerate(search):
+        pairs += size * (radius - d + 1)
+        for state, bits in fresh.items():
+            rows.setdefault(state, [0] * (radius + 1))[d] = bits
+    return pairs, rows
 
 
 def _cells(bits: int) -> Iterator[int]:
@@ -505,46 +510,27 @@ def _cells(bits: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _saturate(seeds: list[int], moving, radius: int) -> list[int]:
-    """Cumulative module rows 0..radius of one orbit.
-
-    seeds[d] holds the generators of degree d; `moving` lists each monoid
-    generator that moves the vertex as (degree, cell delta), lightest first.
-    """
-    rows: list[int] = []
-    bits = 0
-    for d in range(radius + 1):
-        if d < len(seeds):
-            bits |= seeds[d]
-        for gd, delta in moving:
-            if gd > d:
-                break
-            bits |= shift(rows[d - gd], delta)
-        rows.append(bits)
-    return rows
-
-
-def _row_action(codec: VertexCodec, exact, cumulative, monoid: GradedMonoid) -> ActionReport:
-    """`_action` on the exact-support rows of S and their cumulative rows.
+def _row_action(codec: VertexCodec, exact, monoid: GradedMonoid) -> ActionReport:
+    """`_action` on the exact-support rows of S, {orbit: rows} by orbit.
 
     The elements of least weight d at which generator (gd, v) fails are
     exact[orbit][d] & ~shift(cumulative[orbit][d + gd], -delta), delta the
-    cell delta of v.  Orbit leads the vertex order, so the witness comes
-    from the first orbit that fails.
+    cell delta of v and cumulative the OR of the rows up to each degree.
+    Orbit leads the vertex order, so the witness comes from the first orbit
+    that fails.
     """
     n, radius = codec.orbits, codec.radius
+    cumulative = [list(accumulate(rows, or_)) for rows in exact.values()]
     for gd, gvec in sorted(monoid.generators):
         if not any(gvec):
             continue
         delta = codec.delta(gvec)
-        for orbit, (rows, cum) in enumerate(zip(exact, cumulative)):
-            failing = [
-                (d, rows[d] & ~shift(cum[d + gd], -(delta // n)))
+        for (orbit, rows), cum in zip(exact.items(), cumulative):
+            keys = [
+                (orbit + n * cell, d)
                 for d in range(radius - gd + 1)
                 if rows[d]
-            ]
-            keys = [
-                (orbit + n * cell, d) for d, bits in failing if bits for cell in _cells(bits)
+                for cell in _cells(rows[d] & ~shift(cum[d + gd], -(delta // n)))
             ]
             if keys:
                 y, d, key = min((codec.decode(key), d, key) for key, d in keys)

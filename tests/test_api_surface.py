@@ -1,5 +1,6 @@
 """Every public top-level function and class of the library, and every
-public method of such a class, has a caller; and every name the package
+public method of such a class, has a caller; every module-level private
+function is referenced from the package itself; and every name the package
 root re-exports is imported from it by someone.
 
 A caller is a reference from library code (another module, or the defining
@@ -101,3 +102,22 @@ def test_package_root_exports_only_what_is_imported_from_it():
     }
     unused = sorted(exported - imported)
     assert not unused, f"imported from no caller: {unused}"
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level `_private` function is reached only through library
+    # code, so one that nothing in the package references is dead
+    modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    names = {path: referenced_names(tree) for path, tree in modules.items()}
+    uncalled = []
+    for path, tree in modules.items():
+        elsewhere = set().union(*(n for other, n in names.items() if other != path))
+        for node in tree.body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and node.name not in elsewhere | referenced_names(tree, skip=node)
+            ):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert not uncalled, f"no caller in the package: {uncalled}"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigrowth import ball
+from perigrowth._dial import dial_distances
 from perigrowth.ball import (
     _shell_counts,
     distances_upto,
@@ -196,6 +197,102 @@ def test_ball_matches_heap_dijkstra(case):
     assert dial_terms == terms
     assert _shell_counts(g, codec, len(expected)) == terms
     assert list(growth_sequence(g, x0, radius)) == terms
+
+
+@st.composite
+def seeded_row_searches(draw):
+    """A 2-D step table over 1-3 states, a radius and seeds (d0, state, x, y).
+
+    Each step is (target state, cell move, weight) with a move of at most
+    `s` cells per axis and weight at least 1, so a seed at d0 lies within
+    d0 * s of the centre and every walk from it stays within radius * s:
+    the no-carry invariant holds on a grid of that reach.  Seed 0 is seeded
+    again at a distance no lower, and the end of one of its steps is seeded
+    one above the step's own arrival, when that is within the radius, so a
+    shorter path supersedes it.
+    """
+    n = draw(st.integers(1, 3))
+    move = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    table = draw(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, n - 1), move, st.integers(1, 3)), max_size=3),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    radius = draw(st.integers(1, 7))
+    s = max([1] + [abs(c) for out in table for _, vec, _ in out for c in vec])
+    seeds = []
+    for i in range(draw(st.integers(1, 4))):
+        # beyond the radius only after the first: a seed there is dropped
+        d0 = draw(st.integers(0, radius + (i > 0)))
+        r = min(d0, radius) * s
+        x, y = draw(st.integers(-r, r)), draw(st.integers(-r, r))
+        seeds.append((d0, draw(st.integers(0, n - 1)), x, y))
+    d0, state, x, y = seeds[0]
+    seeds.append((draw(st.integers(d0, radius)), state, x, y))
+    if table[state]:
+        t, (dx, dy), w = draw(st.sampled_from(table[state]))
+        if d0 + w < radius:
+            seeds.append((d0 + w + 1, t, x + dx, y + dy))
+    return n, table, radius, radius * s, seeds
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seeded_row_searches())
+# two states: seed 0 again at distance 3, and its step's end at 3 is
+# reached from it at 1
+@example(
+    (2, [[(1, (1, 0), 1)], [(0, (0, 1), 2)]], 4, 4, [(0, 0, 0, 0), (3, 0, 0, 0), (3, 1, 1, 0)])
+)
+def test_seeded_rows_match_multi_start_dial(case):
+    # first_reach_rows and dial_distances over the same packed keys
+    # state + n * cell, cell = (x + reach) + span * (y + reach)
+    n, table, radius, reach, seeds = case
+    span = 2 * reach + 1
+    codec = ball.VertexCodec(
+        PeriodicVertex(0, (0, 0)), radius, n, (reach, reach), (span, span), (n, n * span)
+    )
+
+    def cell(x, y):
+        return x + reach + span * (y + reach)
+
+    starts = [(d0, state, 1 << cell(x, y)) for d0, state, x, y in seeds]
+
+    def row_steps(state):
+        return [(t, cell(dx, dy) - cell(0, 0), w) for t, (dx, dy), w in table[state]]
+
+    def search(cap):
+        return list(
+            ball.first_reach_rows(codec, starts, row_steps, cap=cap, cap_what="seeded rows")
+        )
+
+    expected = dial_distances(
+        [(state + n * cell(x, y), d0) for d0, state, x, y in seeds],
+        n,
+        lambda c: [(t - c + n * delta, w) for t, delta, w in row_steps(c)],
+        radius,
+        cap=10**6,
+        cap_what="test search",
+    )
+    got = {}
+    for d, (count, fresh) in enumerate(search(len(expected))):
+        keys = [
+            state + n * k for state, bits in fresh.items() for k in range(span**2) if bits >> k & 1
+        ]
+        assert count == len(keys)
+        got.update(dict.fromkeys(keys, d))
+    assert got == expected
+    # the cap counts the (state, cell) pairs reached, seeds included
+    message = f"seeded rows exceeded {len(expected) - 1} nodes; raise the cap"
+    with pytest.raises(ResourceLimitError, match=rf"^{message}$"):
+        search(len(expected) - 1)
+
+
+def test_seeded_rows_reject_a_negative_start_distance(square):
+    codec = vertex_codec(square, PeriodicVertex(0, (0, 0)), 2)
+    with pytest.raises(ValueError, match="negative start distance -1"):
+        list(ball.first_reach_rows(codec, [(-1, 0, 1)], lambda _: [], cap=10, cap_what="rows"))
 
 
 @pytest.mark.parametrize(

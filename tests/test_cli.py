@@ -242,7 +242,8 @@ KING = "dim 2\nvertex a\nvertex b\nedge a b 0 0 1\nedge b a 0 0 1\n" + "".join(
 )
 def test_decompose_cap_boundary_on_bit_rows(capsys, monkeypatch, tmp_path, graph, size, what):
     # the cap admits the rows at both values, so each message is raised
-    # by the bit-row cover, at the exact count the Dial would raise it
+    # by the bit-row cover; with the rows refused, the Dial cover raises
+    # the same message at the same count
     path = data_path("square.pg")
     if graph == "king":
         path = tmp_path / "king.pg"
@@ -257,17 +258,20 @@ def test_decompose_cap_boundary_on_bit_rows(capsys, monkeypatch, tmp_path, graph
         monkeypatch.setattr(decomposition, "_monoid", bogus)
     admitted = []
     real_fit = decomposition.rows_fit
-    monkeypatch.setattr(
-        decomposition, "rows_fit", lambda *a: admitted.append(real_fit(*a)) or admitted[-1]
-    )
     argv = ["pg", "decompose", str(path), "--upto", "4"]
-    code, out, err = run_cli(capsys, "--max-ball", str(size), *argv)
-    assert (code, err) == ((1, "") if graph == "square-bogus" else (0, ""))
-    assert out.startswith("perigrowth-format 1\n")
-    code, out, err = run_cli(capsys, "--max-ball", str(size - 1), *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {what} exceeded {size - 1} nodes; raise the cap\n"
-    assert admitted == [True, True]
+    for on_rows in (True, False):
+        monkeypatch.setattr(
+            decomposition,
+            "rows_fit",
+            lambda *a: admitted.append(real_fit(*a)) or (admitted[-1] and on_rows),
+        )
+        code, out, err = run_cli(capsys, "--max-ball", str(size), *argv)
+        assert (code, err) == ((1, "") if graph == "square-bogus" else (0, ""))
+        assert out.startswith("perigrowth-format 1\n")
+        code, out, err = run_cli(capsys, "--max-ball", str(size - 1), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} exceeded {size - 1} nodes; raise the cap\n"
+    assert admitted == [True] * 4
 
 
 @pytest.mark.parametrize(
@@ -300,12 +304,12 @@ def counting(calls, name, fn):
     return wrapper
 
 
-def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, z_pm):
+def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeycomb, z_pm):
     # no graded pair sets: the cover compares least degrees on packed keys,
-    # so the decoding `distances_upto` never runs.  On the plane it holds
-    # them as bit rows and runs no Dial search; on the 1-D z_pm every
-    # weighted search is one `dial_distances` call: the ball, the support
-    # search and one least-degree search per orbit subset
+    # so the decoding `distances_upto` never runs.  Each representation has
+    # one kernel, called once per search: the ball, the support search and
+    # one module saturation per orbit subset.  On the plane they are bit
+    # rows and run no Dial search; on the 1-D z_pm each is a Dial search
     calls = []
     names = (
         "enumerate_cycles",
@@ -315,6 +319,7 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, z_pm):
         "graded_growth_slice",
         "module_elements_upto",
         "dial_distances",
+        "first_reach_rows",
     )
     for module in (ball, decomposition):
         for name in names:
@@ -325,7 +330,8 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, z_pm):
         capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
     )
     assert code == 0
-    assert calls == ["enumerate_cycles"]
+    searches = 2 + len(decomposition.all_support_sets(honeycomb))
+    assert sorted(calls) == ["enumerate_cycles"] + ["first_reach_rows"] * searches
     calls.clear()
     code, _, _ = run_cli(capsys, "pg", "decompose", data_path("z_pm.pg"), "--upto", "6")
     assert code == 0
@@ -334,12 +340,13 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, z_pm):
         ["enumerate_cycles", "packed_distances", "support_distances"]
         + ["dial_distances"] * searches
     )
-    # `pg growth` on the plane counts its shells as bit rows and runs no
-    # search; on the 1-D z_pm it counts them from one Dial ball
+    # `pg growth` on the plane counts its shells on one row search and
+    # runs no Dial search; on the 1-D z_pm it counts them from one Dial ball
     calls.clear()
     code, _, _ = run_cli(capsys, "pg", "growth", data_path("honeycomb.pg"), "--upto", "6")
     assert code == 0
-    assert calls == []
+    assert calls == ["first_reach_rows"]
+    calls.clear()
     code, _, _ = run_cli(capsys, "pg", "growth", data_path("z_pm.pg"), "--upto", "6")
     assert code == 0
     assert sorted(calls) == ["dial_distances", "packed_distances"]
