@@ -306,14 +306,11 @@ def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:
 
 
 def graded_growth_slice(
-    g: QuotientGraph,
-    x0: PeriodicVertex,
-    radius: int,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
+    g: QuotientGraph, x0: PeriodicVertex, radius: int
 ) -> set[tuple[int, PeriodicVertex]]:
-    """The pairs (i, y) with d(x0, y) <= i <= radius."""
-    dm = distances_upto(g, x0, radius, cap=cap)
+    """The pairs (i, y) with d(x0, y) <= i <= radius, from a ball of at most
+    `DEFAULT_BALL_CAP` vertices."""
+    dm = distances_upto(g, x0, radius)
     return {
         (i, y)
         for y, d in dm.entries.items()

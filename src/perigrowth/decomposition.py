@@ -36,6 +36,7 @@ from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
 SupportSet = frozenset[int]
 
 DEFAULT_ORBIT_GUARD = 12
+MAX_WITNESSES = 10
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,10 @@ def _monoid(rank: int, S: SupportSet, cycle_data) -> GradedMonoid:
     return GradedMonoid(rank, tuple(sorted(gens)))
 
 
-def build_MS(
-    g: QuotientGraph, S: SupportSet, *, cycle_cap: int = DEFAULT_CYCLE_CAP
-) -> GradedMonoid:
-    """Monoid generated by cycles supported inside S, plus the degree step."""
-    return _monoid(g.dim, S, _cycle_data(g, cycle_cap))
+def build_MS(g: QuotientGraph, S: SupportSet) -> GradedMonoid:
+    """Monoid generated by cycles supported inside S, plus the degree step;
+    the cycles are enumerated under `walks.DEFAULT_CYCLE_CAP`."""
+    return _monoid(g.dim, S, _cycle_data(g, DEFAULT_CYCLE_CAP))
 
 
 def support_distances(
@@ -215,33 +215,27 @@ def _module_gens(
 
 
 def build_XS_generators(
-    g: QuotientGraph,
-    x0: PeriodicVertex,
-    S: SupportSet,
-    *,
-    exhaustive: bool = False,
-    cap: int = DEFAULT_BALL_CAP,
+    g: QuotientGraph, x0: PeriodicVertex, S: SupportSet
 ) -> GradedModuleGens:
     """Generators of the module of S-supported reachability pairs.
 
-    Default mode keeps one generator per endpoint, at the minimal weight of
-    a walk with support exactly S; `exhaustive` restores the full truncation
-    at the degree bound, which generates the same module.
+    One generator per endpoint, at the minimal weight of a walk with
+    support exactly S; `verify_cover(..., exhaustive=True)` prints the full
+    truncation at the degree bound instead, which generates the same
+    module.  The support-graded search is capped at `ball.DEFAULT_BALL_CAP`
+    states.
     """
     bound = module_degree_bound(g, S)
     codec = vertex_codec(g, x0, bound)
-    group = _support_groups(g, codec, cap).get(S, [])
-    return _module_gens(codec, group, bound, exhaustive)
+    group = _support_groups(g, codec, DEFAULT_BALL_CAP).get(S, [])
+    return _module_gens(codec, group, bound, False)
 
 
 def module_elements_upto(
-    monoid: GradedMonoid,
-    module_gens,
-    degree: int,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
+    monoid: GradedMonoid, module_gens, degree: int
 ) -> set[tuple[int, PeriodicVertex]]:
-    """All elements generator + monoid of degree <= degree."""
+    """All elements generator + monoid of degree <= degree, at most
+    `ball.DEFAULT_BALL_CAP` of them."""
     seen = {(d, y) for d, y in module_gens if d <= degree}
     frontier = list(seen)
     while frontier:
@@ -250,9 +244,10 @@ def module_elements_upto(
             for gd, gvec in monoid.generators:
                 el = (d + gd, translate(y, gvec))
                 if el[0] <= degree and el not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= DEFAULT_BALL_CAP:
                         raise ResourceLimitError(
-                            f"module saturation exceeded {cap} nodes; raise the cap"
+                            f"module saturation exceeded {DEFAULT_BALL_CAP} nodes;"
+                            " raise the cap"
                         )
                     seen.add(el)
                     nxt.append(el)
@@ -313,14 +308,15 @@ def _pair_count(low: dict, radius: int) -> int:
     return sum(radius - d + 1 for d in low.values())
 
 
-def _witnesses(codec: VertexCodec, low: dict, high: dict, radius: int, k: int) -> tuple:
-    """The k least pairs (i, y) with low[y] <= i <= radius and i < high[y].
+def _witnesses(codec: VertexCodec, low: dict, high: dict, radius: int) -> tuple:
+    """The k = `MAX_WITNESSES` least pairs (i, y), low[y] <= i <= radius, i < high[y].
 
     `low` and `high` map packed keys to least degrees, and a key missing
     from `high` bounds nothing.  Each key yields at most its k lowest
     pairs, which is enough for the k least overall; only keys that yield a
     pair are decoded.
     """
+    k = MAX_WITNESSES
     pairs = []
     for key, lo in low.items():
         hi = min(high.get(key, radius + 1), lo + k)
@@ -339,7 +335,6 @@ def verify_cover(
     orbit_guard: int = DEFAULT_ORBIT_GUARD,
     cap: int = DEFAULT_BALL_CAP,
     cycle_cap: int = DEFAULT_CYCLE_CAP,
-    max_witnesses: int = 10,
 ) -> CoverReport:
     """Check that the union of truncated modules equals the graded growth set.
 
@@ -355,7 +350,8 @@ def verify_cover(
     closed in the same way, with least degree d(x0, y), and so is the
     union, with least degree min_S m_S(y).  The sets are therefore equal
     exactly when these two maps are, and `covered`, `module_sizes` and the
-    sorted `missing` and `extra` witnesses are rebuilt from the maps.
+    sorted `missing` and `extra` witnesses, the `MAX_WITNESSES` least pairs
+    of each, are rebuilt from the maps.
 
     Cycles are enumerated once, and the ball and the support-graded search
     run once, at the radius.  Every map is kept on the packed keys of one
@@ -383,11 +379,11 @@ def verify_cover(
     moves = {gen for monoid in monoids.values() for gen in monoid.generators}
     codec = vertex_codec(g, x0, radius, moves)
     cover = _cover_on_rows if rows_fit(codec, 2**g.num_orbits + 4, cap) else _cover_on_dial
-    return cover(g, codec, monoids, exhaustive, cap, max_witnesses)
+    return cover(g, codec, monoids, exhaustive, cap)
 
 
 def _cover_on_dial(
-    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int, k: int
+    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int
 ) -> CoverReport:
     """`verify_cover` by least-degree dicts: the ball and the support-graded
     search run once, and m_S takes one multi-source search per S."""
@@ -413,15 +409,15 @@ def _cover_on_dial(
         ok=ok,
         radius=radius,
         covered=_pair_count(target, radius),
-        missing=() if ok else _witnesses(codec, target, union, radius, k),
-        extra=() if ok else _witnesses(codec, union, target, radius, k),
+        missing=() if ok else _witnesses(codec, target, union, radius),
+        extra=() if ok else _witnesses(codec, union, target, radius),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )
 
 
 def _cover_on_rows(
-    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int, k: int
+    g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int
 ) -> CoverReport:
     """`verify_cover` on bit rows over the cells key // orbits.
 
@@ -482,8 +478,8 @@ def _cover_on_rows(
         ok=ok,
         radius=radius,
         covered=covered,
-        missing=() if ok else _row_witnesses(codec, target, union, k),
-        extra=() if ok else _row_witnesses(codec, union, target, k),
+        missing=() if ok else _row_witnesses(codec, target, union),
+        extra=() if ok else _row_witnesses(codec, union, target),
         module_sizes=sizes,
         blocks=tuple(blocks),
     )
@@ -497,7 +493,9 @@ def _exact_rows(search, radius: int) -> tuple[int, dict[int, list[int]]]:
     for d, (size, fresh) in enumerate(search):
         pairs += size * (radius - d + 1)
         for state, bits in fresh.items():
-            rows.setdefault(state, [0] * (radius + 1))[d] = bits
+            if state not in rows:  # allocate once per state, not per distance
+                rows[state] = [0] * (radius + 1)
+            rows[state][d] = bits
     return pairs, rows
 
 
@@ -539,9 +537,9 @@ def _row_action(codec: VertexCodec, exact, monoid: GradedMonoid) -> ActionReport
     return ActionReport(True, None)
 
 
-def _row_witnesses(codec: VertexCodec, low, high, k: int) -> tuple:
-    """The k least pairs (i, y) with y in low[orbit][i] but not high[orbit][i]."""
-    n = codec.orbits
+def _row_witnesses(codec: VertexCodec, low, high) -> tuple:
+    """The `MAX_WITNESSES` least pairs (i, y), y in low[orbit][i], not high[orbit][i]."""
+    k, n = MAX_WITNESSES, codec.orbits
     pairs = []
     for i in range(codec.radius + 1):
         for orbit in range(n):
@@ -559,15 +557,15 @@ def verify_module_action(
     radius: int,
     *,
     monoid: GradedMonoid | None = None,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> ActionReport:
     """Check the monoid action maps the truncated module into itself.
 
-    The module truncation is computed directly by walk search, so feeding a
-    corrupted monoid (an extra bogus generator) must produce a witness.
+    The module truncation is computed directly by walk search, capped at
+    `ball.DEFAULT_BALL_CAP` states, so feeding a corrupted monoid (an extra
+    bogus generator) must produce a witness.
     """
     if monoid is None:
         monoid = build_MS(g, S)
     codec = vertex_codec(g, x0, radius, monoid.generators)
-    group = _support_groups(g, codec, cap).get(S, [])
+    group = _support_groups(g, codec, DEFAULT_BALL_CAP).get(S, [])
     return _action(codec, group, monoid, radius)

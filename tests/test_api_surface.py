@@ -1,7 +1,8 @@
 """Every public top-level function and class of the library, and every
 public method of such a class, has a caller; every module-level private
-function is referenced from the package itself; and every name the package
-root re-exports is imported from it by someone.
+function is referenced from the package itself; every name the package
+root re-exports is imported from it by someone; every option of a public
+function is set by some call; and every CLI flag is read.
 
 A caller is a reference from library code (another module, or the defining
 module outside the definition itself), from the oracles or the acceptance
@@ -121,3 +122,67 @@ def test_every_private_helper_has_a_caller():
             ):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert not uncalled, f"no caller in the package: {uncalled}"
+
+
+def options(node, method: bool):
+    """(name, index among a call's positional arguments, or None) of each
+    defaulted or keyword-only parameter of a function definition."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - int(method)  # a method call passes self implicitly
+    for arg in args.kwonlyargs:
+        yield arg.arg, None
+
+
+def passes(call, name: str, index) -> bool:
+    """Whether the call passes the parameter by name or by position."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    # an option that every caller leaves at its default is one value: a
+    # constant, not a parameter
+    calls = {}
+    for path in sorted(SRC.glob("*.py")) + CALLERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in public_definitions(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                continue
+            for name, index in options(node, "." in qualname):
+                if not any(passes(call, name, index) for call in calls.get(node.name, [])):
+                    unset.append(f"{path.stem}.{qualname}({name}=)")
+    assert not unset, f"no caller sets: {unset}"
+
+
+def test_every_cli_flag_is_read():
+    # --threads has no effect; it goes once the bench stops passing it
+    # (ROADMAP item 7)
+    unread_allowed = {"threads"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (parser,) = [n for n in tree.body if getattr(n, "name", None) == "build_parser"]
+    dests = {}
+    for node in ast.walk(parser):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            flag = node.args[0].value
+            if flag.startswith("--"):
+                dest = [k.value.value for k in node.keywords if k.arg == "dest"]
+                dests[dest[0] if dest else flag[2:].replace("-", "_")] = flag
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+    assert unread_allowed <= dests.keys()
+    unread = sorted(flag for dest, flag in dests.items() if dest not in read | unread_allowed)
+    assert not unread, f"never read: {unread}"

@@ -296,6 +296,20 @@ def test_caps_reach_decompose_and_relative(capsys, argv, message):
     assert out == ""
 
 
+def test_decompose_orbit_guard(capsys, tmp_path):
+    # 13 edgeless orbits: one past the default guard on the 2^n subsets
+    path = tmp_path / "orbits13.pg"
+    path.write_text("dim 1\n" + "".join(f"vertex v{i}\n" for i in range(13)))
+    argv = ["pg", "decompose", str(path), "--upto", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: 13 orbits exceed the subset guard of 12\n"
+    code, out, err = run_cli(capsys, *argv, "--orbit-guard", "13")
+    assert (code, err) == (0, "")
+    assert out.count("S {") == 2**13
+    assert out.endswith("cover PASS (4 pairs at radius 3)\n")
+
+
 def counting(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls.append(name)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from perigrowth import decomposition
 from perigrowth.ball import VertexCodec, vertex_codec
 from perigrowth.decomposition import (
+    MAX_WITNESSES,
     GradedMonoid,
     _min_degrees,
     all_support_sets,
@@ -102,13 +103,20 @@ def test_build_XS_honeycomb_pair(honeycomb):
             assert (1, V(1, e.shift)) in gens.generators
 
 
+def exhaustive_generators(g, x0, S, radius):
+    """The generators of S that `verify_cover(..., exhaustive=True)` prints."""
+    report = verify_cover(g, x0, radius, exhaustive=True)
+    return next(gens for T, _, gens, _ in report.blocks if T == S)
+
+
 def test_build_XS_exhaustive_generates_same_module(z_pm):
     base = V(0, (0,))
     S = frozenset({0})
     monoid = build_MS(z_pm, S)
     minimal = build_XS_generators(z_pm, base, S)
-    full = build_XS_generators(z_pm, base, S, exhaustive=True)
-    assert set(minimal.generators) <= set(full.generators)
+    full = exhaustive_generators(z_pm, base, S, 9)
+    assert full.degree_bound == minimal.degree_bound
+    assert set(minimal.generators) < set(full.generators)
     for radius in (5, 9):
         a = module_elements_upto(monoid, minimal.generators, radius)
         b = module_elements_upto(monoid, full.generators, radius)
@@ -221,8 +229,8 @@ def test_generators_split_off_above_degree_bound(z_pm):
     base = V(0, (0,))
     S = frozenset({0})
     monoid = build_MS(z_pm, S)
-    gens = build_XS_generators(z_pm, base, S, exhaustive=True)
     radius = 12
+    gens = exhaustive_generators(z_pm, base, S, radius)
     elements = module_elements_upto(monoid, gens.generators, radius)
     monoid_elems = monoid_elements_by_exponents(list(monoid.generators), radius)
     for i, y in elements:
@@ -238,7 +246,7 @@ def test_generators_split_off_above_degree_bound(z_pm):
 @st.composite
 def plane_covers(draw):
     """A random plane graph with 1-3 orbits and weights 1-2, directed or
-    inverse-closed, a base vertex, a radius and the cover options."""
+    inverse-closed, a base vertex, a radius and the exhaustive flag."""
     n = draw(st.integers(1, 3))
     edges = draw(
         st.lists(
@@ -259,11 +267,11 @@ def plane_covers(draw):
         tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
     )
     x0 = V(draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-3, 3)] * 2)))
-    return g, x0, draw(st.integers(0, 6)), draw(st.booleans()), draw(st.integers(1, 4))
+    return g, x0, draw(st.integers(0, 6)), draw(st.booleans())
 
 
-def assert_matches_pair_sets(report, g, x0, radius, max_witnesses):
-    expected = pair_set_cover(g, x0, radius, report.blocks, max_witnesses)
+def assert_matches_pair_sets(report, g, x0, radius):
+    expected = pair_set_cover(g, x0, radius, report.blocks, MAX_WITNESSES)
     assert report.ok == expected["ok"]
     assert report.covered == expected["covered"]
     assert report.missing == expected["missing"]
@@ -274,18 +282,16 @@ def assert_matches_pair_sets(report, g, x0, radius, max_witnesses):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(plane_covers())
 def test_cover_by_least_degrees_matches_pair_sets(case):
-    g, x0, radius, exhaustive, max_witnesses = case
-    report = verify_cover(
-        g, x0, radius, exhaustive=exhaustive, max_witnesses=max_witnesses
-    )
+    g, x0, radius, exhaustive = case
+    report = verify_cover(g, x0, radius, exhaustive=exhaustive)
     assert report.ok
-    assert_matches_pair_sets(report, g, x0, radius, max_witnesses)
+    assert_matches_pair_sets(report, g, x0, radius)
 
 
 @st.composite
 def space_covers(draw):
     """A random 3-D graph with 1-2 orbits and weights 1-2, directed or
-    inverse-closed, a base vertex, a radius and the cover options."""
+    inverse-closed, a base vertex, a radius and the exhaustive flag."""
     n = draw(st.integers(1, 2))
     edges = draw(
         st.lists(
@@ -307,7 +313,7 @@ def space_covers(draw):
         tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
     )
     x0 = V(draw(st.integers(0, n - 1)), draw(st.tuples(*[st.integers(-3, 3)] * 3)))
-    return g, x0, draw(st.integers(1, 4)), draw(st.booleans()), draw(st.integers(1, 4))
+    return g, x0, draw(st.integers(1, 4)), draw(st.booleans())
 
 
 HONEYCOMB = parse_periodic_graph(data_text("honeycomb.pg"))
@@ -319,15 +325,15 @@ HONEYCOMB = parse_periodic_graph(data_text("honeycomb.pg"))
     st.sampled_from(["sound", "degree bound 0", "bogus generator"]),
     st.tuples(st.integers(1, 2), st.tuples(*[st.integers(-3, 3)] * 3)),
 )
-@example((HONEYCOMB, V(0, (0, 0)), 6, False, 3), "degree bound 0", (1, (0, 0, 0)))
-@example((HONEYCOMB, V(1, (2, -1)), 5, True, 4), "bogus generator", (1, (3, 0, 0)))
-@example((HONEYCOMB, V(0, (0, 0)), 3, False, 3), "bogus generator", (2, (-3, 2, 0)))
+@example((HONEYCOMB, V(0, (0, 0)), 6, False), "degree bound 0", (1, (0, 0, 0)))
+@example((HONEYCOMB, V(1, (2, -1)), 5, True), "bogus generator", (1, (3, 0, 0)))
+@example((HONEYCOMB, V(0, (0, 0)), 3, False), "bogus generator", (2, (-3, 2, 0)))
 def test_cover_paths_agree_with_pair_sets(case, fault, generator):
     # the bit-row and Dial covers, each forced, return equal reports, and
     # both match the pair-set oracle and the reference action, failing
     # covers included: no generator above degree 0 leaves pairs missing,
     # and a bogus monoid generator adds extra pairs and fails the action
-    g, x0, radius, exhaustive, max_witnesses = case
+    g, x0, radius, exhaustive = case
     real = decomposition._monoid
     gd, vec = generator[0], generator[1][: g.dim]
     reports = []
@@ -344,13 +350,9 @@ def test_cover_paths_agree_with_pair_sets(case, fault, generator):
             )
         for rows in (True, False):
             patch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
-            reports.append(
-                verify_cover(
-                    g, x0, radius, exhaustive=exhaustive, max_witnesses=max_witnesses
-                )
-            )
+            reports.append(verify_cover(g, x0, radius, exhaustive=exhaustive))
     assert reports[0] == reports[1]
-    assert_matches_pair_sets(reports[0], g, x0, radius, max_witnesses)
+    assert_matches_pair_sets(reports[0], g, x0, radius)
     sdist = support_state_distances(g, x0, radius)
     for S, monoid, _, action in reports[0].blocks:
         assert action == reference_action(sdist, S, monoid, radius)
@@ -366,7 +368,7 @@ def shortened_walk_bound(g, S):
 @given(plane_covers())
 def test_cover_holds_at_the_proved_degree_bound(case):
     # the bound W * |S|^2 is a relaxation of the walk-shortening bound
-    g, x0, radius, exhaustive, _ = case
+    g, x0, radius, exhaustive = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decomposition, "module_degree_bound", shortened_walk_bound)
         assert verify_cover(g, x0, radius, exhaustive=exhaustive).ok
@@ -402,12 +404,12 @@ def test_cover_missing_pairs_match_pair_sets(honeycomb, monkeypatch):
     # no module generator beyond degree 0: most of the ball goes missing
     monkeypatch.setattr(decomposition, "module_degree_bound", lambda g, S: 0)
     x0, radius = honeycomb.vertex(0), 6
-    report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
+    report = verify_cover(honeycomb, x0, radius)
     assert not report.ok
-    assert len(report.missing) == 3 and not report.extra
-    assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
+    assert len(report.missing) == MAX_WITNESSES == 10 and not report.extra
+    assert_matches_pair_sets(report, honeycomb, x0, radius)
     every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
-    assert len(every["missing"]) > 3
+    assert len(every["missing"]) > 10
 
 
 def test_cover_extra_pairs_match_pair_sets(honeycomb, monkeypatch):
@@ -423,12 +425,12 @@ def test_cover_extra_pairs_match_pair_sets(honeycomb, monkeypatch):
             return GradedMonoid(rank, m.generators + (generator,))
 
         monkeypatch.setattr(decomposition, "_monoid", bogus)
-        report = verify_cover(honeycomb, x0, radius, max_witnesses=3)
+        report = verify_cover(honeycomb, x0, radius)
         assert not report.ok
-        assert len(report.extra) == 3 and not report.missing
-        assert_matches_pair_sets(report, honeycomb, x0, radius, 3)
+        assert len(report.extra) == MAX_WITNESSES == 10 and not report.missing
+        assert_matches_pair_sets(report, honeycomb, x0, radius)
         every = pair_set_cover(honeycomb, x0, radius, report.blocks, None)
-        assert len(every["extra"]) > 3
+        assert len(every["extra"]) > 10
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -439,7 +441,7 @@ def test_cover_extra_pairs_match_pair_sets(honeycomb, monkeypatch):
 def test_packed_action_matches_reference(case, generator):
     # one bogus generator added to every monoid: the packed action check
     # returns the reference report, the witness included
-    g, x0, radius, exhaustive, _ = case
+    g, x0, radius, exhaustive = case
     real = decomposition._monoid
 
     def bogus(rank, S, cycle_data):
