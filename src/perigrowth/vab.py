@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ball import DEFAULT_BALL_CAP, DistanceMap, RelativeCountTable, count_table
 from .errors import (
@@ -124,9 +123,9 @@ def validate_group(group: VAGroup) -> list[str]:
         report.append("action of the identity is not the identity matrix")
     for f, mat in enumerate(group.action):
         # an integer matrix has an integer inverse exactly when |det| = 1,
-        # that is when its elimination needs no scaling
-        elimination = _eliminate(list(mat), n)
-        if elimination is None or elimination[1] != 1:
+        # the product of the leading entries of its full-rank Hermite form
+        h, _ = _hermite(mat, n)
+        if len(h) < n or math.prod(h[j][j] for j in range(n)) != 1:
             report.append(f"action matrix {f} is not invertible over the integers")
     for f in range(k):
         for g in range(k):
@@ -281,30 +280,33 @@ class MonoidModuleSet:
     pieces: tuple[MonoidModulePiece, ...]
 
 
-def _eliminate(columns: list[tuple[int, ...]], q: int) -> tuple[Matrix, int] | None:
-    """An invertible integer E and scale with E·U = (scale·I_k ; 0).
+def _hermite(rows: list[Vector] | Matrix, n: int) -> tuple[list[Vector], list[Vector]]:
+    """Unreduced column Hermite form A·U = [H | 0] of the integer matrix A =
+    rows, whose n columns are passed as A may have no rows, by Euclid column
+    operations: the columns of H, each with a positive leading entry below
+    the one before, and of the unimodular U, which are the rows of V = Uᵀ."""
+    m = len(rows)
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    r = 0
+    for i in range(m):
+        for j in range(r + 1, n):
+            while cols[j][i]:
+                f = cols[r][i] // cols[j][i]
+                cols[r], cols[j] = cols[j], [x - f * y for x, y in zip(cols[r], cols[j])]
+        if r < n and cols[r][i]:
+            if cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            r += 1
+    return [tuple(col[:m]) for col in cols[:r]], [tuple(col[m:]) for col in cols]
 
-    U stacks the k columns (each of length q); None when they are linearly
-    dependent.  One Gauss-Jordan elimination of [U | I] over the rationals,
-    scaled to integers by the lcm of the denominators.
-    """
-    k = len(columns)
-    rows = [
-        [Fraction(col[r]) for col in columns] + [Fraction(int(r == c)) for c in range(q)]
-        for r in range(q)
-    ]
-    for j in range(k):
-        pivot = next((r for r in range(j, q) if rows[r][j]), None)
-        if pivot is None:
-            return None
-        rows[j], rows[pivot] = rows[pivot], rows[j]
-        rows[j] = [x / rows[j][j] for x in rows[j]]
-        for r in range(q):
-            if r != j and rows[r][j]:
-                f = rows[r][j]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[j])]
-    scale = math.lcm(*(x.denominator for row in rows for x in row[k:]))
-    return tuple(tuple(int(x * scale) for x in row[k:]) for row in rows), scale
+
+def _nonnegative_solution(h: list[Vector], t: list[int]) -> bool:
+    """Whether Hᵀc = t, Hᵀ upper triangular, has an integer c >= 0 (solved in t)."""
+    for j in reversed(range(len(t))):
+        t[j], rest = divmod(t[j] - sum(h[j][i] * t[i] for i in range(j + 1, len(t))), h[j][j])
+        if rest or t[j] < 0:
+            return False
+    return True
 
 
 def enumerate_monoid_module_set(
@@ -319,11 +321,11 @@ def enumerate_monoid_module_set(
 
     `dm` is the Cayley ball from the identity, of radius at least max(box).
     A piece's k ugens, flattened to length q = n·d, must be linearly
-    independent (an `InputError` names the piece otherwise), so `_eliminate`
-    gives an invertible E with E·U = (scale·I_k ; 0).  Then y lies in the
-    piece exactly when E(y - shift) = (c ; 0) with every c_j >= 0 and
-    divisible by scale: E(y - shift) = E·U·c' forces y - shift = U·c'.
-    E splits by coordinate, so each allowed ball point maps to one integer
+    independent (an `InputError` names the piece otherwise).  As the rows
+    of A they have a Hermite form A·U = [H | 0], H square, V = Uᵀ
+    unimodular; y lies in the piece exactly when V(y - shift) = (t ; 0)
+    and Hᵀc = t has an integer solution c >= 0, found by back substitution.
+    V splits by coordinate, so each allowed ball point maps to one integer
     vector; the last coordinate's points are indexed by their q - k lower
     entries, and each tuple of the other coordinates' points (at most `cap`
     of them per piece) looks up the negated sum.  Each member is checked
@@ -343,17 +345,16 @@ def enumerate_monoid_module_set(
     ends = []  # len(members) after each piece
     for index, piece in enumerate(mmset.pieces):
         k = len(piece.ugens)
-        elimination = _eliminate(
+        h, v = _hermite(
             [tuple(itertools.chain.from_iterable(gen)) for gen in piece.ugens], q
         )
-        if elimination is None:
+        if len(h) < k:
             raise InputError(f"piece {index} has linearly dependent ugens")
-        e, scale = elimination
         shift = tuple(itertools.chain.from_iterable(t.vec for t in piece.shift))
-        origin = [-x for x in _apply(e, shift)]
-        images = []  # per coordinate: (E_i y, element, weight) per allowed ball point
+        origin = [-x for x in _apply(v, shift)]
+        images = []  # per coordinate: (V_i y, element, weight) per allowed ball point
         for i, (bound, t) in enumerate(zip(box, piece.shift)):
-            block = [row[i * n : (i + 1) * n] for row in e]
+            block = [row[i * n : (i + 1) * n] for row in v]
             images.append(
                 [
                     (_apply(block, y), GroupElement(y, t.part), dist)
@@ -374,8 +375,7 @@ def enumerate_monoid_module_set(
         for combo in itertools.product(*head):
             total = [sum(col) for col in zip(origin, *(point[0] for point in combo))]
             for upper, el, dist in by_lower.get(tuple(-x for x in total[k:]), ()):
-                c = [a + b for a, b in zip(total, upper)]
-                if all(x >= 0 and x % scale == 0 for x in c):
+                if _nonnegative_solution(h, [a + b for a, b in zip(total, upper)]):
                     member = tuple(point[1] for point in combo) + (el,)
                     if member in members:
                         clashes.append(member)

@@ -15,7 +15,7 @@ import heapq
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from perigrowth.ball import graded_growth_slice
 from perigrowth.decomposition import ActionReport, module_elements_upto
@@ -279,6 +279,37 @@ def _leibniz_det(m) -> int:
         )
         total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
     return total
+
+
+def matrix_rank(rows, n: int) -> int:
+    """Rank of the integer matrix with these rows and n columns: the largest
+    order of a nonzero minor."""
+    return max(
+        (
+            r
+            for r in range(1, min(len(rows), n) + 1)
+            for picked in combinations(rows, r)
+            for cols in combinations(range(n), r)
+            if _leibniz_det([[row[j] for j in cols] for row in picked])
+        ),
+        default=0,
+    )
+
+
+def unimodular_inverse(u):
+    """The integer inverse of a square matrix of determinant +-1, from its
+    cofactors: inverse[i][j] = det * (-1)^(i+j) * minor(j, i)."""
+    det = _leibniz_det(u)
+    assert det in (1, -1), "the oracle needs a unimodular matrix"
+    return [
+        [
+            det
+            * (-1) ** (i + j)
+            * _leibniz_det([row[:i] + row[i + 1 :] for a, row in enumerate(u) if a != j])
+            for j in range(len(u))
+        ]
+        for i in range(len(u))
+    ]
 
 
 def independent_columns(columns) -> bool:

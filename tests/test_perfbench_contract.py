@@ -1,18 +1,29 @@
-"""The names the benchmark's span recorder wraps must exist in perigrowth.
+"""The benchmark's files must keep working against perigrowth.
 
 `perfbench/spans.py` looks each (module, name) up with getattr when a traced
 run starts, so a function renamed or deleted here makes every traced
-benchmark run fail.  The file is loaded as it is, never edited.
+benchmark run fail.  `perfbench/child.py` runs the `fit` workload's
+`terms_needed` bisection and its traced jobs; the benchmark stops when one
+of them writes no result.  Both files are used as they are, never edited.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from perigrowth.decomposition import CoverReport
 
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+from oracles import honeycomb_patch_growth
+
+ROOT = Path(__file__).parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+CHILD = ROOT / "perfbench" / "child.py"
+DATA = ROOT / "src" / "perigrowth" / "data"
 
 
 def load_spans():
@@ -35,3 +46,38 @@ def test_every_wrapped_function_exists():
 def test_cover_report_keeps_counted_fields():
     fields = {f.name for f in dataclasses.fields(CoverReport)}
     assert {"covered", "module_sizes"} <= fields
+
+
+def run_child(tmp_path, spec: dict) -> dict:
+    """The result child.py writes for the spec, run as the benchmark runs it."""
+    spec = dict(spec, result=str(tmp_path / "result.json"))
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(tmp_path / "spec.json")],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((tmp_path / "result.json").read_text())
+
+
+def test_child_terms_needed_certifies_a_prefix(tmp_path):
+    spec = {
+        "mode": "terms_needed",
+        "pg": str(DATA / "honeycomb.pg"),
+        "terms": honeycomb_patch_growth(60),
+        "margin": 10,
+    }
+    result = run_child(tmp_path, spec)
+    assert result["terms_needed"] is not None
+    assert 1 <= result["terms_needed"] <= 61
+
+
+def test_child_traced_fit_jobs_record_layers(tmp_path):
+    for argv in (
+        ["pg", "series", str(DATA / "honeycomb.pg"), "--upto", "60", "--canonical"],
+        ["vag", "relative", str(DATA / "dinf.vag"), str(DATA / "invol.set"), "--upto", "20"],
+    ):
+        result = run_child(tmp_path, {"mode": "job", "argv": argv, "trace": True})
+        assert result["code"] == 0, argv
+        assert "trace.top_level_s" in result["layers"], argv

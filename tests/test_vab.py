@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import re
 
@@ -27,6 +28,7 @@ from perigrowth.vab import (
     MonoidModuleSet,
     VAGroup,
     WeightedGenerator,
+    _hermite,
     build_cayley,
     default_set_denominator,
     enumerate_monoid_module_set,
@@ -44,9 +46,12 @@ from perigrowth.vab import (
 
 from conftest import SEED, data_text
 from oracles import (
+    _leibniz_det,
     growth_from_weights,
     independent_columns,
+    matrix_rank,
     monoid_module_piece_tuples,
+    unimodular_inverse,
     word_weights,
 )
 
@@ -117,6 +122,63 @@ def test_validate_checks_unimodularity(matrix, unimodular):
     )
     flagged = "action matrix 1 is not invertible over the integers"
     assert (flagged not in validate_group(group)) == unimodular
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[st.integers(-2, 2)] * n)] * n)
+    )
+)
+def test_validate_unimodularity_matches_determinant(matrix):
+    n = len(matrix)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    group = VAGroup(n, 2, ((0, 1), (1, 0)), (identity, matrix), _zero_cocycle(n, 2))
+    flagged = "action matrix 1 is not invertible over the integers"
+    assert (flagged in validate_group(group)) == (abs(_leibniz_det(matrix)) != 1)
+
+
+def test_validate_rank_zero_group():
+    # Z/2 acting on the zero lattice: both action matrices are 0 x 0
+    group = VAGroup(0, 2, ((0, 1), (1, 0)), ((), ()), _zero_cocycle(0, 2))
+    assert validate_group(group) == []
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(*[st.integers(-5, 5)] * n), max_size=4)
+        )
+    )
+)
+@example((3, []))  # no rows: a piece with no ugens
+@example((0, [(), (), ()]))  # no columns: the action of a rank-0 group
+@example((3, [(1, -2, 3), (0, 0, 0), (2, 4, -1)]))  # a zero row
+@example((2, [(2, 4), (-1, -2)]))  # dependent rows with a negative pivot
+def test_hermite_form(case):
+    n, a = case
+    h, u = _hermite(a, n)  # the columns of H and of U
+    r = len(h)
+    assert r == matrix_rank(a, n)
+    # A·U = [H | 0]
+    au = [[sum(x * y for x, y in zip(row, col)) for col in u] for row in a]
+    assert au == [[h[j][i] if j < r else 0 for j in range(n)] for i in range(len(a))]
+    # U is unimodular
+    rows_u = [[col[i] for col in u] for i in range(n)]
+    assert abs(_leibniz_det(rows_u)) == 1
+    # H is in column echelon form with positive leading entries
+    assert all(any(col) for col in h)
+    leads = [next(i for i, x in enumerate(col) if x) for col in h]
+    assert leads == sorted(set(leads))
+    assert all(col[i] > 0 for col, i in zip(h, leads))
+    # the last n - r columns of U span every integer kernel vector in a box:
+    # x = U·y with y integer, and y vanishes above r exactly when x is theirs
+    inverse = unimodular_inverse(rows_u)
+    for x in itertools.product(range(-3, 4), repeat=n):
+        if not any(sum(c * v for c, v in zip(row, x)) for row in a):
+            y = [sum(c * v for c, v in zip(row, x)) for row in inverse]
+            assert not any(y[:r]), (x, y)
 
 
 def test_validate_catches_bad_cocycle(klein):
@@ -384,6 +446,8 @@ def independent_pieces(draw):
         (4, 4),
     )
 )
+# a rank-1 piece whose Hermite diagonal is 2: only odd points from 1 up
+@example(("dinf", MonoidModulePiece((((2,),),), (E((1,), 0),)), (6,)))
 def test_join_matches_brute_force(case):
     name, piece, box = case
     _, dm = _corpus_ball(name)
