@@ -125,8 +125,13 @@ def cmd_pg_series(args) -> int:
     g = _load_pg(args.file)
     base = _parse_base(g, args.base)
     terms = ball.growth_sequence(g, base, args.upto, cap=args.max_ball)
-    factors = series.default_denominator(g, cycle_cap=args.max_cycles)
-    fit = series.fit_univariate_auto(terms, factors, margin=args.margin)
+    # the velocity ansatz first; the cycle product is the fallback
+    fit = series.fit_univariate_auto(
+        terms,
+        series.default_denominator(g, cycle_cap=args.max_cycles),
+        series.cycle_product(g, cycle_cap=args.max_cycles),
+        margin=args.margin,
+    )
     if args.canonical:
         fit = series.canonicalize(fit)
     _emit(args, [FORMAT_HEADER] + _series_lines(fit))

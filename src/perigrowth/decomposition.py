@@ -31,7 +31,7 @@ from .ball import (
 )
 from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
-from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
+from .walks import DEFAULT_CYCLE_CAP, cycle_data, enumerate_cycles
 
 SupportSet = frozenset[int]
 
@@ -94,33 +94,16 @@ def all_support_sets(g: QuotientGraph) -> list[SupportSet]:
     return subsets
 
 
-def _cycle_data(g: QuotientGraph, cycle_cap: int) -> list:
-    """(support, weight, displacement) of every simple cycle.
-
-    A closed walk visits each of its orbits as the source of an edge, and
-    any lift of it moves by the sum of its edge shifts.
-    """
-    data = []
-    for c in enumerate_cycles(g, cap=cycle_cap):
-        edges = [g.edges[eid] for eid in c]
-        data.append((
-            frozenset(e.src for e in edges),
-            sum(e.weight for e in edges),
-            tuple(map(sum, zip(*(e.shift for e in edges)))),
-        ))
-    return data
-
-
-def _monoid(rank: int, S: SupportSet, cycle_data) -> GradedMonoid:
+def _monoid(rank: int, S: SupportSet, cycles) -> GradedMonoid:
     gens = {(1, (0,) * rank)}
-    gens.update((w, vec) for sup, w, vec in cycle_data if sup <= S)
+    gens.update((w, vec) for sup, w, vec in cycles if sup <= S)
     return GradedMonoid(rank, tuple(sorted(gens)))
 
 
 def build_MS(g: QuotientGraph, S: SupportSet) -> GradedMonoid:
     """Monoid generated by cycles supported inside S, plus the degree step;
     the cycles are enumerated under `walks.DEFAULT_CYCLE_CAP`."""
-    return _monoid(g.dim, S, _cycle_data(g, DEFAULT_CYCLE_CAP))
+    return _monoid(g.dim, S, cycle_data(g, enumerate_cycles(g, cap=DEFAULT_CYCLE_CAP)))
 
 
 def support_distances(
@@ -374,8 +357,8 @@ def verify_cover(
         raise GuardError(
             f"{g.num_orbits} orbits exceed the subset guard of {orbit_guard}"
         )
-    cycle_data = _cycle_data(g, cycle_cap)
-    monoids = {S: _monoid(g.dim, S, cycle_data) for S in all_support_sets(g)}
+    cycles = cycle_data(g, enumerate_cycles(g, cap=cycle_cap))
+    monoids = {S: _monoid(g.dim, S, cycles) for S in all_support_sets(g)}
     moves = {gen for monoid in monoids.values() for gen in monoid.generators}
     codec = vertex_codec(g, x0, radius, moves)
     cover = _cover_on_rows if rows_fit(codec, 2**g.num_orbits + 4, cap) else _cover_on_dial

@@ -17,10 +17,17 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FormatError, InputError, NoFitError, PerigrowthError
 from .periodic_graph import QuotientGraph
-from .walks import DEFAULT_CYCLE_CAP, cycle_weights
+from .walks import (
+    DEFAULT_CYCLE_CAP,
+    cycle_data,
+    enumerate_cycles,
+    strongly_connected,
+    velocity_polytope,
+)
 
 DEFAULT_MARGIN = 10
 DEFAULT_MARGIN_PER_AXIS = 5
@@ -151,10 +158,52 @@ def expand_series(rs: RationalSeries, through: int) -> list[int]:
 def default_denominator(
     g: QuotientGraph, *, cycle_cap: int = DEFAULT_CYCLE_CAP
 ) -> tuple[tuple[int, int], ...]:
-    """Denominator ansatz (1-t) * prod over cycles (1-t^{weight})."""
-    factors = [(1, 1)]
-    factors.extend((w, 1) for w in cycle_weights(g, cap=cycle_cap))
-    return merge_factors(factors)
+    """Denominator ansatz read off the velocity polytope of g.
+
+    P is the hull of the velocities disp(c)/w(c) of the simple cycles c, and
+    W(v) the distinct weights of the cycles of velocity v.  The ansatz is
+    D = (1 - t) * lcm over the facets F of P of prod over the cycle
+    velocities v on F of prod over W(v) of (1 - t^w), where the lcm keeps
+    the largest exponent of each weight.  A velocity inside a facet counts
+    as well as its vertices: a weight-3 loop of velocity (0, 1/3) on the
+    hull edge from (-1/2, 0) to (1, 1) puts (1 - t^3) into the reduced
+    denominator.  D is used when g is strongly connected, of dimension 1 or
+    2, and P is full-dimensional; otherwise this is `cycle_product`.
+
+    Why D should hold the reduced denominator is a sketch, not a proof: in
+    the cone over a facet, a vertex is reached from a residue class plus
+    nonnegative combinations of the cycles whose velocities lie on the
+    facet, and P's vertices are simple-cycle velocities because every closed
+    walk splits into simple cycles.  The ansatz is fixed before any term is
+    read, so a fit over it is still a certificate over its range; when D is
+    wrong the fit fails and `pg series` goes on to `cycle_product`.
+    """
+    return _ansatzes(g, cycle_cap)[0]
+
+
+def cycle_product(
+    g: QuotientGraph, *, cycle_cap: int = DEFAULT_CYCLE_CAP
+) -> tuple[tuple[int, int], ...]:
+    """Denominator ansatz (1-t) * prod over simple cycles (1-t^{weight})."""
+    return _ansatzes(g, cycle_cap)[1]
+
+
+@lru_cache(maxsize=1)
+def _ansatzes(g: QuotientGraph, cycle_cap: int):
+    """(`default_denominator`, `cycle_product`) of g from one cycle
+    enumeration; the one cached entry lets `pg series` read both rungs of
+    its ladder from one pass.  The results are tuples, so sharing them is safe."""
+    data = cycle_data(g, enumerate_cycles(g, cap=cycle_cap))
+    product = merge_factors([(1, 1)] + [(w, 1) for _, w, _ in data])
+    facets = velocity_polytope(g.dim, data) if strongly_connected(g) else []
+    if not facets:
+        return product, product
+    exponents: dict[int, int] = {}
+    for facet in facets:
+        weights = [w for at_v in facet.values() for w in at_v]
+        for w in set(weights):
+            exponents[w] = max(exponents.get(w, 0), weights.count(w))
+    return merge_factors([(1, 1), *exponents.items()]), product
 
 
 def fit_univariate(
@@ -241,23 +290,26 @@ def canonicalize(rs: RationalSeries) -> RationalSeries:
     return reduced
 
 
-def _escalate(fit, factors):
-    """Escalation ladder: fit over the ansatz, then over its squared factors."""
+def _escalate(fit, *ansatzes):
+    """Escalation ladder: fit over each distinct ansatz in turn, first as
+    given and then with its factors squared."""
     failures = []
-    for candidate in (factors, tuple((w, 2 * e) for w, e in factors)):
-        try:
-            return fit(candidate)
-        except NoFitError as exc:
-            failures.append(f"ansatz {candidate}: {exc}")
+    for factors in dict.fromkeys(ansatzes):
+        for candidate in (factors, tuple((w, 2 * e) for w, e in factors)):
+            try:
+                return fit(candidate)
+            except NoFitError as exc:
+                failures.append(f"ansatz {candidate}: {exc}")
     raise NoFitError("; ".join(failures))
 
 
 def fit_univariate_auto(
-    terms, factors, *, margin: int = DEFAULT_MARGIN
+    terms, *ansatzes, margin: int = DEFAULT_MARGIN
 ) -> RationalSeries:
-    """The univariate fit on the escalation ladder."""
+    """The univariate fit on the escalation ladder of the given ansatzes."""
     return _escalate(
-        lambda f: fit_univariate(terms, f, margin=margin), merge_factors(factors)
+        lambda f: fit_univariate(terms, f, margin=margin),
+        *map(merge_factors, ansatzes),
     )
 
 

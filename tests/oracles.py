@@ -523,3 +523,46 @@ def dense_mv_expand(numerator, factors, box):
                 c -= cb * out[prev]
         out[a] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# the reduced denominator of a sequence, by Berlekamp-Massey
+
+
+def berlekamp_massey(terms, p=(1 << 61) - 1):
+    """Shortest C with C[0] = 1 and sum_j C[j] * terms[n - j] = 0 for every
+    n from len(C) - 1 on, modulo the prime p, lifted to the integers of
+    absolute value below p / 2."""
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n, s in enumerate(terms):
+        d = sum(c[i] * terms[n - i] for i in range(length + 1)) % p
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        previous = c[:]
+        c += [0] * max(0, len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] = (c[i + shift] - coef * bi) % p
+        if 2 * length <= n:
+            length, b, last, shift = n + 1 - length, previous, d, 1
+        else:
+            shift += 1
+    return [x - p if x > p // 2 else x for x in c[: length + 1]]
+
+
+def reduced_denominator(terms):
+    """Q with Q(0) = 1 such that the terms' generating function is P/Q in
+    lowest terms, or None when the terms are too few to pin Q down: the
+    recurrence found on the first half of the terms must hold, over the
+    integers, on all of them.  A long transient makes a short prefix fit a
+    spurious recurrence, so agreement on twice the length is asked, not a
+    count of terms."""
+    c = berlekamp_massey(terms)
+    if c != berlekamp_massey(terms[: len(terms) // 2]):
+        return None
+    for n in range(len(c) - 1, len(terms)):
+        if sum(cj * terms[n - j] for j, cj in enumerate(c)):
+            return None
+    return poly_trim(c)

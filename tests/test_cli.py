@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from perigrowth import ball, decomposition, vab
+from perigrowth import ball, decomposition, series, vab, walks
 from perigrowth.cli import main
 from perigrowth.series import expand_mv_series, series_from_text
 
 from conftest import data_path, data_text
 from oracles import word_weights
+from test_series import ONE_WAY_SINK
 
 # expected stdout bytes (<name>.out) and exit codes (exit_codes.json); only an
 # intended change of the output format may rewrite them
@@ -364,6 +365,49 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeyc
     code, _, _ = run_cli(capsys, "pg", "growth", data_path("z_pm.pg"), "--upto", "6")
     assert code == 0
     assert sorted(calls) == ["dial_distances", "packed_distances"]
+
+
+def test_series_enumerates_cycles_once(capsys, monkeypatch, tmp_path):
+    # the velocity ansatz and the cycle product behind it come from one
+    # cycle enumeration, whether the velocity ansatz applies (honeycomb) or
+    # not (a quotient that is not strongly connected)
+    calls = []
+    fn = walks.enumerate_cycles
+    wrapper = counting(calls, "enumerate_cycles", fn)
+    for module in (walks, series, decomposition):
+        if getattr(module, "enumerate_cycles", None) is fn:
+            monkeypatch.setattr(module, "enumerate_cycles", wrapper)
+    sink = tmp_path / "sink.pg"
+    sink.write_text(ONE_WAY_SINK)
+    for argv, den in (
+        ([data_path("honeycomb.pg")], "den 2 ^2"),
+        ([str(sink), "--canonical"], "den 3 ^1"),
+    ):
+        series._ansatzes.cache_clear()
+        calls.clear()
+        code, out, _ = run_cli(capsys, "pg", "series", *argv, "--upto", "40")
+        assert code == 0
+        assert den in out.splitlines()
+        assert calls == ["enumerate_cycles"]
+
+
+def dense_line(n: int) -> str:
+    """n orbits of the line, a shift-0 weight-1 edge between every ordered
+    pair, and loops +1 and -1 at the first orbit."""
+    lines = ["dim 1"] + [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge v{i} v{j} 0 1" for i in range(n) for j in range(n) if i != j]
+    lines += ["edge v0 v0 1 1", "edge v0 v0 -1 1"]
+    return "\n".join(lines) + "\n"
+
+
+def test_series_certifies_a_dense_quotient(capsys, tmp_path):
+    # the cycle product has degree 435 here, and 61 terms leave it no margin;
+    # the velocity ansatz is (1 - t)^2
+    path = tmp_path / "dense5.pg"
+    path.write_text(dense_line(5))
+    code, out, err = run_cli(capsys, "pg", "series", str(path), "--upto", "60", "--canonical")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["num 0 1", "num 1 5", "num 2 4", "den 1 ^1", "verified 60"]
 
 
 @pytest.mark.parametrize(

@@ -81,3 +81,23 @@ def test_child_traced_fit_jobs_record_layers(tmp_path):
         result = run_child(tmp_path, {"mode": "job", "argv": argv, "trace": True})
         assert result["code"] == 0, argv
         assert "trace.top_level_s" in result["layers"], argv
+
+
+def test_child_terms_needed_certifies_every_fit_series(tmp_path, monkeypatch):
+    # `run.py` stops with an error when a `terms_needed` child finds no
+    # certified prefix; these are the fit workload's series graphs of two
+    # seeds, with the terms the benchmark's own oracle computes
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    oracle = importlib.import_module("oracle")
+    workloads = importlib.import_module("workloads")
+    for seed in (5, 11):
+        work = tmp_path / str(seed)
+        for job in workloads.build("fit", seed, str(work)).jobs:
+            if job.kind != "series":
+                continue
+            pg, upto = job.check["pg"], job.check["upto"]
+            g = oracle.read_pg(Path(pg).read_text())
+            terms = oracle.spheres(oracle.ball_distances(g, upto), upto)
+            spec = {"mode": "terms_needed", "pg": pg, "terms": terms,
+                    "margin": workloads.MARGIN}
+            assert run_child(work, spec)["terms_needed"] is not None, (seed, job.name)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigrowth.ball import distances_upto, growth_sequence, relative_counts
@@ -13,6 +13,7 @@ from perigrowth.series import (
     MultivariateRationalSeries,
     RationalSeries,
     canonicalize,
+    cycle_product,
     default_denominator,
     expand_mv_series,
     expand_series,
@@ -29,6 +30,7 @@ from perigrowth.series import (
     specialize_to_univariate,
 )
 
+from conftest import data_text
 from oracles import (
     dense_expand,
     dense_fit_numerator,
@@ -38,21 +40,96 @@ from oracles import (
     honeycomb_patch_growth,
     poly_div_exact,
     poly_mul,
+    reduced_denominator,
     reference_reduction,
 )
 
 
 def test_default_denominator_square(square):
-    assert default_denominator(square) == ((1, 5),)
+    assert cycle_product(square) == ((1, 5),)
 
 
 def test_default_denominator_honeycomb(honeycomb):
-    assert default_denominator(honeycomb) == ((1, 1), (2, 9))
+    assert cycle_product(honeycomb) == ((1, 1), (2, 9))
 
 
 def test_default_denominator_edgeless():
     g = parse_periodic_graph("dim 1\nvertex v\n")
-    assert default_denominator(g) == ((1, 1),)
+    assert cycle_product(g) == ((1, 1),)
+
+
+def test_velocity_denominator_square_and_honeycomb(square, honeycomb):
+    # square: four edges of the unit diamond, each two weight-1 loops;
+    # honeycomb: six edges of a hexagon, each two weight-2 returns
+    assert default_denominator(square) == ((1, 3),)
+    assert default_denominator(honeycomb) == ((1, 1), (2, 2))
+
+
+# b reaches a but not back: Q = 1 - t^3 from a's loop alone, while the
+# velocity ansatz over all cycles would be (1 - t)^2 (1 - t^2)
+ONE_WAY_SINK = """\
+dim 1
+vertex a
+vertex b
+edge a a 1 3
+edge b b 2 1
+edge b b -1 2
+edge b a 0 1
+"""
+
+# the weight-3 loops have velocity (0, 1/3), inside the hull edge from
+# (-1/2, 0) to (1, 1) but not a vertex of it, and Q = (1 - t)(1 - t^3)
+MID_EDGE_VELOCITY = """\
+dim 2
+vertex v0
+vertex v1
+edge v0 v1 0 0 1
+edge v1 v0 -1 0 3
+edge v1 v1 0 1 3
+edge v1 v1 -1 0 2
+edge v0 v0 1 1 1
+edge v0 v0 0 1 3
+"""
+
+
+@st.composite
+def strongly_connected_quotients(draw):
+    """A ring through every orbit plus random edges, in the line or the
+    plane, directed or closed under inverses."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(1, 4 if dim == 1 else 3))
+    shift = st.tuples(*[st.integers(-1, 1)] * dim)
+    weight = st.integers(1, 4 if dim == 1 else 3)
+    edges = [(i, (i + 1) % n, draw(shift), draw(weight)) for i in range(n)]
+    orbit = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(orbit, orbit, shift, weight), max_size=6))
+    if not draw(st.booleans()):
+        edges += [(b, a, tuple(-x for x in s), w) for a, b, s, w in edges]
+    lines = [f"dim {dim}"] + [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge v{a} v{b} {' '.join(map(str, s))} {w}" for a, b, s, w in edges]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(strongly_connected_quotients())
+@example(ONE_WAY_SINK)
+@example(MID_EDGE_VELOCITY)
+@example(data_text("z_oneway.pg"))
+def test_velocity_ansatz_holds_the_reduced_denominator(text):
+    g = parse_periodic_graph(text)
+    # sphere counts of small directed quotients can take 300 terms to settle
+    for radius in (400, 800, 1600) if g.dim == 1 else (100, 200, 400):
+        q = reduced_denominator(growth_sequence(g, g.vertex(0), radius))
+        if q is not None:
+            break
+    assert q is not None
+    assert poly_div_exact(expand_factors(default_denominator(g)), q) is not None
+
+
+def test_velocity_ansatz_falls_back_to_the_cycle_product(z_oneway):
+    # not strongly connected, and a velocity polytope that is one point
+    for g in (parse_periodic_graph(ONE_WAY_SINK), z_oneway):
+        assert default_denominator(g) == cycle_product(g)
 
 
 def test_fit_constant_ones():

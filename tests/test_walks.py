@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from perigrowth.decomposition import _cycle_data
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
-from perigrowth.series import default_denominator
-from perigrowth.walks import DEFAULT_CYCLE_CAP, cycle_weights, enumerate_cycles
+from perigrowth.series import cycle_product
+from perigrowth.walks import cycle_data, cycle_weights, enumerate_cycles
 
 from conftest import SEED
 from oracles import brute_force_cycles, lift_endpoint
@@ -46,7 +45,7 @@ def test_cycle_weights_keep_one_entry_per_cycle(triangle):
     # the two parallel a -> b edges give two cycles of each weight 2 and 3
     assert cycle_weights(triangle) == [len(c) for c in enumerate_cycles(triangle)]
     assert sorted(cycle_weights(triangle)) == [1, 2, 2, 3, 3]
-    assert default_denominator(triangle) == ((1, 2), (2, 2), (3, 2))
+    assert cycle_product(triangle) == ((1, 2), (2, 2), (3, 2))
 
 
 def test_cycles_empty_graph():
@@ -63,11 +62,11 @@ def test_cycles_match_brute_force(square, honeycomb, z_pm, triangle):
 
 def test_cycle_data_matches_lifts(square, honeycomb, z_pm, triangle):
     # each cycle's lift from a random start returns to its orbit, displaced
-    # by what `_cycle_data` reports; support and weight read off the lift
+    # by what `cycle_data` reports; support and weight read off the lift
     rng = random.Random(SEED)
     for g in (square, honeycomb, z_pm, triangle):
         cycles = enumerate_cycles(g)
-        data = _cycle_data(g, DEFAULT_CYCLE_CAP)
+        data = cycle_data(g, cycles)
         assert len(data) == len(cycles)
         for cycle, (sup, weight, displacement) in zip(cycles, data):
             x0 = PeriodicVertex(
