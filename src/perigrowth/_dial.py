@@ -2,14 +2,14 @@
 
 `dial_distances` is monotone label-setting over integer weights (Dial's
 bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
-takes the steps of class v % classes, the orbit of a packed cover vertex
-or the (orbit, support mask) of a support-graded state.  It drives every
-search that needs distances: the ball, and the support-graded search and
-the per-subset minimum-degree searches of the decomposition.  The shell
-counts of `ball.growth_sequence` and the whole cover check of
+takes the steps of class v % classes: the orbit of a packed cover vertex,
+the (orbit, support mask) of a support-graded state, or the subset mask of
+a module state.  It drives every search that needs distances: the ball,
+and the support-graded search and the one module search over (subset,
+vertex) states of the decomposition.  The shell counts of
+`ball.growth_sequence` and the whole cover check of
 `decomposition.verify_cover` run on bit rows instead when `ball.rows_fit`
-admits them: there every search, module saturation included, is one call
-of `ball.first_reach_rows`, seeded as this kernel is.
+admits them, each search one seeded `ball.first_reach_rows` call.
 Each start carries its own initial distance.  A class's steps are listed
 and grouped by weight the first time a node of that class is settled, so
 the search builds only the classes it reaches.  Every step weighs at

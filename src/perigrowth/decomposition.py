@@ -269,28 +269,6 @@ def _action(
     return ActionReport(True, None)
 
 
-def _min_degrees(
-    codec: VertexCodec, monoid: GradedMonoid, starts, cap: int
-) -> dict[int, int]:
-    """Least degree <= codec.radius at which each packed vertex lies in the module.
-
-    One multi-source search: every module generator (key, d) is a source at
-    its own degree d, and every monoid generator that moves the vertex is a
-    step by its packed delta, weighted by its degree.  Generators with a
-    zero vector, the degree step (1, 0) among them, only raise the degree
-    at the same vertex, so they never lower a least degree and are skipped.
-    """
-    moves = [(codec.delta(gvec), gd) for gd, gvec in monoid.generators if any(gvec)]
-    return dial_distances(
-        starts, 1, lambda _: moves, codec.radius, cap=cap, cap_what="module saturation"
-    )
-
-
-def _pair_count(low: dict, radius: int) -> int:
-    """Number of pairs (i, y) with low[y] <= i <= radius."""
-    return sum(radius - d + 1 for d in low.values())
-
-
 def _witnesses(codec: VertexCodec, low: dict, high: dict, radius: int) -> tuple:
     """The k = `MAX_WITNESSES` least pairs (i, y), low[y] <= i <= radius, i < high[y].
 
@@ -336,20 +314,26 @@ def verify_cover(
     sorted `missing` and `extra` witnesses, the `MAX_WITNESSES` least pairs
     of each, are rebuilt from the maps.
 
-    Cycles are enumerated once, and the ball and the support-graded search
-    run once, at the radius.  Every map is kept on the packed keys of one
+    Cycles are enumerated once, and three searches run at the radius: the
+    ball, the support-graded search and one module search over (subset,
+    vertex) states, seeded with every subset's module generators at their
+    degrees, where a state of S steps by the moving generators of the
+    monoid of S.  Every map is kept on the packed keys of one
     `ball.VertexCodec`, sized by the edges and every monoid generator, so
     all of them stay exact.  When `ball.rows_fit` admits 2^n + 4 row sets
     (the target, the union, the 2^n support masks, and one subset's
     cumulative support rows and module rows), the maps are held as bit rows
-    and every search, module saturation included, is one seeded
-    `ball.first_reach_rows` call (`_cover_on_rows`); otherwise they are
-    dicts filled by Dial searches (`_cover_on_dial`).  Both give the same
-    report.  Keys are decoded to `PeriodicVertex` only
-    for the module generators, the `missing` and `extra` witnesses and the
-    action witnesses.  `cap` bounds the vertices of each search: the ball,
-    the support-graded states and the vertices reached per subset (not the
-    pairs).  The report also carries, per S, the monoid, the module
+    and each search is one seeded `ball.first_reach_rows` call
+    (`_cover_on_rows`); otherwise they are dicts filled by Dial searches
+    (`_cover_on_dial`).  Both give the same report.  Keys are decoded to
+    `PeriodicVertex` only for the module generators, the `missing` and
+    `extra` witnesses and the action witnesses.  `cap` bounds the nodes each
+    search holds, seeds included: the ball's vertices, the support-graded
+    states and the module search's (subset, vertex) states summed over the
+    subsets (not the pairs).  On a sound cover the module of S reaches the
+    ends of the walks of support exactly S, so the module search holds as
+    many nodes as the support-graded one and is never the first to reach
+    the cap.  The report also carries, per S, the monoid, the module
     generators (as `build_MS` and `build_XS_generators` give them, with the
     degree bound cut to the radius) and the `verify_module_action` report.
     """
@@ -368,33 +352,41 @@ def verify_cover(
 def _cover_on_dial(
     g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int
 ) -> CoverReport:
-    """`verify_cover` by least-degree dicts: the ball and the support-graded
-    search run once, and m_S takes one multi-source search per S."""
-    radius = codec.radius
+    """`verify_cover` by least-degree dicts: the ball, the support-graded
+    search and one module search over the nodes key << n | mask, each of
+    class mask.  A module generator (key, d) of S starts at degree d, and
+    class mask steps by (delta << n, gd) for each generator (gd, v) of the
+    monoid of S with v nonzero, delta the packed delta of v; zero vectors,
+    the degree step among them, never lower a least degree."""
+    n, radius = codec.orbits, codec.radius
     target = packed_distances(g, codec, cap=cap)
     groups = _support_groups(g, codec, cap)
-    union: dict[int, int] = {}
-    sizes: dict[SupportSet, int] = {}
-    blocks = []
+    starts, moves, blocks = [], {}, []
     for S, monoid in monoids.items():
         group = groups.get(S, [])
         bound = min(module_degree_bound(g, S), radius)
+        mask = sum(1 << i for i in S)
+        starts += [(key << n | mask, d) for key, d in group if d <= bound]
+        moves[mask] = [(codec.delta(v) << n, gd) for gd, v in monoid.generators if any(v)]
         gens = _module_gens(codec, group, bound, exhaustive)
-        starts = [(key, d) for key, d in group if d <= bound]
-        piece = _min_degrees(codec, monoid, starts, cap)
-        sizes[S] = _pair_count(piece, radius)
-        for key, d in piece.items():
-            if union.get(key, d + 1) > d:
-                union[key] = d
         blocks.append((S, monoid, gens, _action(codec, group, monoid, radius)))
+    module = dial_distances(
+        starts, 1 << n, moves.__getitem__, radius, cap=cap, cap_what="module saturation"
+    )
+    union: dict[int, int] = {}
+    pairs = dict.fromkeys(moves, 0)  # per mask, in the order of monoids
+    for node, d in module.items():
+        pairs[node & (1 << n) - 1] += radius - d + 1
+        if union.get(node >> n, d + 1) > d:
+            union[node >> n] = d
     ok = union == target
     return CoverReport(
         ok=ok,
         radius=radius,
-        covered=_pair_count(target, radius),
+        covered=sum(radius - d + 1 for d in target.values()),
         missing=() if ok else _witnesses(codec, target, union, radius),
         extra=() if ok else _witnesses(codec, union, target, radius),
-        module_sizes=sizes,
+        module_sizes=dict(zip(monoids, pairs.values())),
         blocks=tuple(blocks),
     )
 
@@ -404,15 +396,15 @@ def _cover_on_rows(
 ) -> CoverReport:
     """`verify_cover` on bit rows over the cells key // orbits.
 
-    Each search is one `ball.first_reach_rows` call, read by `_exact_rows`:
-    the target from `ball.ball_rows`; the exact-support rows F_S of every
-    support mask from one search over the states orbit << n | mask; and per
-    subset S the module from one search seeded with F_S up to the degree
-    bound, the state the orbit, each moving monoid generator (gd, v) a
-    shift by the cell delta of v at weight gd.  The target and the union of
-    the modules are compared as cumulative rows, row d the cells of least
-    degree <= d.  Cap errors keep the Dial texts and order: ball, then
-    support-graded states, then per subset.
+    Each search is one `ball.first_reach_rows` call: the target from
+    `ball.ball_rows`; the exact-support rows F_S of every support mask from
+    one search over the states orbit << n | mask; and one module search
+    over the same states, seeded with every F_S up to the degree bound of
+    S, each moving generator (gd, v) of the monoid of the mask a same-state
+    shift by the cell delta of v at weight gd, its rows read as they arrive
+    and not stored.  The target and the union of the modules are compared
+    as cumulative rows, row d the cells of least degree <= d.  Cap errors
+    keep the Dial texts and order: ball, support-graded states, modules.
     """
     n, radius = codec.orbits, codec.radius
     zero = [0] * (radius + 1)
@@ -434,28 +426,33 @@ def _cover_on_rows(
     for state, rows in sorted(_exact_rows(search, radius)[1].items()):  # by orbit first
         first.setdefault(state & low, {})[state >> n] = rows
 
-    union = [zero] * n
-    sizes: dict[SupportSet, int] = {}
-    blocks = []
+    seeds, moves, blocks = [], {}, []
     for S, monoid in monoids.items():
-        exact = first.get(sum(1 << i for i in S), {})
+        mask = sum(1 << i for i in S)
+        exact = first.get(mask, {})
         bound = min(module_degree_bound(g, S), radius)
-        seeds = [
-            (d, orbit, bits)
+        part = [
+            (d, orbit << n | mask, bits)
             for orbit, rows in exact.items()
             for d, bits in enumerate(rows[: bound + 1])
             if bits
         ]
-        group = [(orbit + n * cell, d) for d, orbit, bits in seeds for cell in _cells(bits)]
+        seeds += part
+        moves[mask] = [(codec.delta(v) // n, gd) for gd, v in monoid.generators if any(v)]
+        group = [((s >> n) + n * cell, d) for d, s, bits in part for cell in _cells(bits)]
         gens = _module_gens(codec, group, bound, exhaustive)
-        moves = [(codec.delta(vec) // n, gd) for gd, vec in monoid.generators if any(vec)]
-        search = first_reach_rows(
-            codec, seeds, lambda o: [(o, *m) for m in moves], cap=cap, cap_what="module saturation"
-        )
-        sizes[S], piece = _exact_rows(search, radius)
-        for orbit, rows in piece.items():
-            union[orbit] = list(map(or_, union[orbit], accumulate(rows, or_)))
         blocks.append((S, monoid, gens, _row_action(codec, exact, monoid)))
+    search = first_reach_rows(
+        codec, seeds, lambda s: [(s, *m) for m in moves[s & low]],
+        cap=cap, cap_what="module saturation",
+    )
+    union = [[0] * (radius + 1) for _ in range(n)]  # exact rows per orbit
+    pairs = dict.fromkeys(moves, 0)  # per mask, in the order of monoids
+    for d, (_, fresh) in enumerate(search):
+        for state, bits in fresh.items():
+            pairs[state & low] += bits.bit_count() * (radius - d + 1)
+            union[state >> n][d] |= bits
+    union = [list(accumulate(rows, or_)) for rows in union]
     ok = union == target
     return CoverReport(
         ok=ok,
@@ -463,7 +460,7 @@ def _cover_on_rows(
         covered=covered,
         missing=() if ok else _row_witnesses(codec, target, union),
         extra=() if ok else _row_witnesses(codec, union, target),
-        module_sizes=sizes,
+        module_sizes=dict(zip(monoids, pairs.values())),
         blocks=tuple(blocks),
     )
 

@@ -51,13 +51,6 @@ def enumerate_cycles(
     return sorted(found, key=lambda c: (len(c), c))
 
 
-def cycle_weights(g: QuotientGraph, *, cap: int = DEFAULT_CYCLE_CAP) -> list[int]:
-    """The weight of every simple cycle, in `enumerate_cycles` order."""
-    return [
-        sum(g.edges[eid].weight for eid in c) for c in enumerate_cycles(g, cap=cap)
-    ]
-
-
 def cycle_data(g: QuotientGraph, cycles) -> list[tuple[frozenset[int], int, Vector]]:
     """(support, weight, displacement) of each of the given cycles.
 

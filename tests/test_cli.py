@@ -319,12 +319,13 @@ def counting(calls, name, fn):
     return wrapper
 
 
-def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeycomb, z_pm):
+def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, tmp_path):
     # no graded pair sets: the cover compares least degrees on packed keys,
     # so the decoding `distances_upto` never runs.  Each representation has
     # one kernel, called once per search: the ball, the support search and
-    # one module saturation per orbit subset.  On the plane they are bit
-    # rows and run no Dial search; on the 1-D z_pm each is a Dial search
+    # one module search over every orbit subset at once, so the count does
+    # not grow with the 2^n subsets.  On the plane they are bit rows and run
+    # no Dial search; on the 1-D z_pm each is a Dial search
     calls = []
     names = (
         "enumerate_cycles",
@@ -341,19 +342,19 @@ def test_decompose_searches_cycles_and_supports_once(capsys, monkeypatch, honeyc
             fn = getattr(module, name, None)
             if fn is not None:
                 monkeypatch.setattr(module, name, counting(calls, name, fn))
-    code, _, _ = run_cli(
-        capsys, "pg", "decompose", data_path("honeycomb.pg"), "--upto", "6"
-    )
-    assert code == 0
-    searches = 2 + len(decomposition.all_support_sets(honeycomb))
-    assert sorted(calls) == ["enumerate_cycles"] + ["first_reach_rows"] * searches
+    plane3 = tmp_path / "plane3.pg"
+    plane3.write_text(PLANE3)
+    for path in (data_path("honeycomb.pg"), str(plane3)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "pg", "decompose", path, "--upto", "6")
+        assert code == 0
+        assert sorted(calls) == ["enumerate_cycles"] + ["first_reach_rows"] * 3
     calls.clear()
     code, _, _ = run_cli(capsys, "pg", "decompose", data_path("z_pm.pg"), "--upto", "6")
     assert code == 0
-    searches = 2 + len(decomposition.all_support_sets(z_pm))
     assert sorted(calls) == sorted(
         ["enumerate_cycles", "packed_distances", "support_distances"]
-        + ["dial_distances"] * searches
+        + ["dial_distances"] * 3
     )
     # `pg growth` on the plane counts its shells on one row search and
     # runs no Dial search; on the 1-D z_pm it counts them from one Dial ball

@@ -9,7 +9,6 @@ from perigrowth.ball import VertexCodec, vertex_codec
 from perigrowth.decomposition import (
     MAX_WITNESSES,
     GradedMonoid,
-    _min_degrees,
     all_support_sets,
     build_MS,
     build_XS_generators,
@@ -507,23 +506,68 @@ def test_support_distances_match_reference(case):
     assert got == support_state_distances(g, x0, radius)
 
 
-def test_search_caps_count_every_node_held(honeycomb):
+def test_search_caps_count_every_node_held(honeycomb, monkeypatch):
     # a search may hold exactly `cap` nodes, its starts included, and no more
-    x0, radius, S = V(1, (2, -1)), 6, frozenset({0, 1})
+    x0, radius = V(1, (2, -1)), 6
     codec = vertex_codec(honeycomb, x0, radius)
     size = len(support_distances(honeycomb, codec))
     assert len(support_distances(honeycomb, codec, cap=size)) == size
     with pytest.raises(ResourceLimitError):
         support_distances(honeycomb, codec, cap=size - 1)
-    monoid = build_MS(honeycomb, S)
-    codec = vertex_codec(honeycomb, x0, radius, monoid.generators)
-    starts = [
-        (codec.encode(v), d)
-        for d, v in build_XS_generators(honeycomb, x0, S).generators
+    # the module search holds the (subset, vertex) states of every subset at
+    # once: a bogus generator grows the modules of {1} and {0, 1} past the
+    # support states, so the module search is the one to reach the cap
+    real = decomposition._monoid
+
+    def bogus(rank, S, data):
+        return GradedMonoid(rank, real(rank, S, data).generators + ((1, (3, 0)),))
+
+    monkeypatch.setattr(decomposition, "_monoid", bogus)
+    report = verify_cover(honeycomb, x0, radius)
+    pieces = [
+        {y for _, y in module_elements_upto(monoid, gens.generators, radius)}
+        for _, monoid, gens, _ in report.blocks
     ]
-    size = len(_min_degrees(codec, monoid, starts, cap=10**6))
-    assert len(_min_degrees(codec, monoid, starts, cap=size)) == size
-    with pytest.raises(ResourceLimitError):
-        _min_degrees(codec, monoid, starts, cap=size - 1)
-    with pytest.raises(ResourceLimitError):
-        _min_degrees(codec, monoid, starts, cap=len(starts) - 1)
+    assert sum(map(bool, pieces)) >= 2
+    held = sum(map(len, pieces))
+    assert held > len(support_state_distances(honeycomb, x0, radius))
+    for rows in (True, False):
+        monkeypatch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
+        assert verify_cover(honeycomb, x0, radius, cap=held) == report
+        with pytest.raises(ResourceLimitError, match="module saturation exceeded"):
+            verify_cover(honeycomb, x0, radius, cap=held - 1)
+
+
+@pytest.mark.parametrize(
+    "g, generator",
+    [(HONEYCOMB, (1, (3, 0))), (ring(3), (1, (3,)))],
+    ids=["honeycomb", "ring3"],
+)
+def test_merged_module_search_keeps_subsets_apart(g, generator, monkeypatch):
+    # a bogus generator in one subset's monoid only: on both backends every
+    # other subset keeps its module and its passing action, so no mask's
+    # moves reach another mask's states in the one module search
+    x0, radius = g.vertex(0), 5
+    clean = verify_cover(g, x0, radius)
+    real = decomposition._monoid
+    for bad in [S for S, size in clean.module_sizes.items() if size]:
+
+        def bogus(rank, S, data, bad=bad):
+            gens = real(rank, S, data).generators
+            return GradedMonoid(rank, gens + (generator,) if S == bad else gens)
+
+        reports = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decomposition, "_monoid", bogus)
+            for rows in (True, False):
+                patch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
+                reports.append(verify_cover(g, x0, radius))
+        assert reports[0] == reports[1]
+        report = reports[0]
+        expected = pair_set_cover(g, x0, radius, report.blocks, MAX_WITNESSES)
+        assert report.module_sizes == expected["module_sizes"]
+        assert report.module_sizes[bad] > clean.module_sizes[bad]
+        for S, _, _, action in report.blocks:
+            if S != bad:
+                assert action.ok, (bad, S)
+                assert report.module_sizes[S] == clean.module_sizes[S], (bad, S)

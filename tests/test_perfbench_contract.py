@@ -3,8 +3,8 @@
 `perfbench/spans.py` looks each (module, name) up with getattr when a traced
 run starts, so a function renamed or deleted here makes every traced
 benchmark run fail.  `perfbench/child.py` runs the `fit` workload's
-`terms_needed` bisection and its traced jobs; the benchmark stops when one
-of them writes no result.  Both files are used as they are, never edited.
+`terms_needed` bisection and the traced `fit` and `decompose` jobs; the
+benchmark stops when one of them writes no result.  Both files are used as they are, never edited.
 """
 
 import dataclasses
@@ -81,6 +81,18 @@ def test_child_traced_fit_jobs_record_layers(tmp_path):
         result = run_child(tmp_path, {"mode": "job", "argv": argv, "trace": True})
         assert result["code"] == 0, argv
         assert "trace.top_level_s" in result["layers"], argv
+
+
+def test_child_traced_decompose_jobs_count_the_cover(tmp_path):
+    # the `decompose` workload's traced path, plain and with `--threads 2`
+    # as the benchmark runs it: the cover's counters come from the report
+    argv = ["pg", "decompose", str(DATA / "honeycomb.pg"), "--upto", "6"]
+    for extra in ([], ["--threads", "2"]):  # a global flag, before the command
+        result = run_child(tmp_path, {"mode": "job", "argv": extra + argv, "trace": True})
+        assert result["code"] == 0, extra
+        layers = result["layers"]
+        assert layers["decomposition.saturated_elements"] > 0, extra
+        assert layers["decomposition.covered_pairs"] > 0, extra
 
 
 def test_child_terms_needed_certifies_every_fit_series(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from perigrowth.periodic_graph import PeriodicVertex, parse_periodic_graph
 from perigrowth.series import cycle_product
-from perigrowth.walks import cycle_data, cycle_weights, enumerate_cycles
+from perigrowth.walks import cycle_data, enumerate_cycles
 
 from conftest import SEED
 from oracles import brute_force_cycles, lift_endpoint
@@ -43,8 +43,10 @@ def test_cycles_honeycomb(honeycomb):
 
 def test_cycle_weights_keep_one_entry_per_cycle(triangle):
     # the two parallel a -> b edges give two cycles of each weight 2 and 3
-    assert cycle_weights(triangle) == [len(c) for c in enumerate_cycles(triangle)]
-    assert sorted(cycle_weights(triangle)) == [1, 2, 2, 3, 3]
+    cycles = enumerate_cycles(triangle)
+    weights = [w for _, w, _ in cycle_data(triangle, cycles)]
+    assert weights == [len(c) for c in cycles]
+    assert sorted(weights) == [1, 2, 2, 3, 3]
     assert cycle_product(triangle) == ((1, 2), (2, 2), (3, 2))
 
 
