@@ -35,7 +35,9 @@ No-carry invariant: every vertex a search reaches is the end of edges and
 moves of total degree at most R, each shifting axis i by at most its degree
 times S_i, so each digit stays in [0, 2 * R * S_i], never carries into its
 neighbour, and the encoding is exact.  Keys are decoded to `PeriodicVertex`
-only where results leave the searches.
+only where results leave the searches, by one decoder, `VertexCodec.coords`,
+which takes a list of cells (key // orbits), such as a row's set bits: one
+list comprehension per axis over the list, with no call per key.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from operator import le, mul
+from operator import le, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._dial import dial_distances
@@ -107,14 +109,23 @@ class VertexCodec(NamedTuple):
         )
 
     def decode(self, key: int) -> PeriodicVertex:
-        return PeriodicVertex(key % self.orbits, self.coord(key))
+        return PeriodicVertex(key % self.orbits, self.coords([key // self.orbits])[0])
 
-    def coord(self, key: int) -> Vector:
-        """The lattice coordinate of the packed key; every decode runs through here."""
-        return tuple(
-            key // t % span - o + b
-            for t, span, o, b in zip(self.strides, self.spans, self.offsets, self.base.coord)
-        )
+    def coords(self, cells: list[int]) -> list[Vector]:
+        """The lattice coordinates of the cells key // orbits, in order.
+
+        Every decode runs through here, one list comprehension per axis:
+        cell stride t / orbits, digit cell // stride % span.
+        """
+        axes = [
+            [c // stride % span + shift for c in cells]
+            for stride, span, shift in zip(
+                (t // self.orbits for t in self.strides),
+                self.spans,
+                map(sub, self.base.coord, self.offsets),
+            )
+        ]
+        return list(zip(*axes)) if axes else [()] * len(cells)
 
 
 def vertex_codec(
@@ -182,7 +193,10 @@ def distances_upto(
     """Exact distances from x0 to every vertex within the given radius."""
     codec = vertex_codec(g, x0, radius)
     dist = packed_distances(g, codec, cap=cap)
-    return DistanceMap(x0, radius, {codec.decode(k): d for k, d in dist.items()})
+    n = codec.orbits
+    coords = codec.coords([k // n for k in dist])
+    entries = {PeriodicVertex(k % n, c): d for (k, d), c in zip(dist.items(), coords)}
+    return DistanceMap(x0, radius, entries)
 
 
 def growth_sequence(

@@ -158,14 +158,14 @@ def cmd_pg_decompose(args) -> int:
         lines.append(
             "monoid "
             + " ".join(
-                f"({deg} | {' '.join(str(c) for c in vec)})"
+                f"({deg} | {' '.join(map(str, vec))})"
                 for deg, vec in monoid.generators
             )
         )
         lines.append(
             "module "
             + " ".join(
-                f"({deg} | {g.orbits[v.orbit]} {' '.join(str(c) for c in v.coord)})"
+                f"({deg} | {g.orbits[v.orbit]} {' '.join(map(str, v.coord))})"
                 for deg, v in gens.generators
             )
         )
@@ -252,6 +252,32 @@ def cmd_vag_relative(args) -> int:
 # parser
 
 
+class _CommandParser:
+    """A command's parser, built only when argparse runs that command.
+
+    Given as `parser_class` to a family's subparsers, it keeps the
+    command's `add_argument` and `set_defaults` calls and replays them into
+    an `ArgumentParser` when argparse hands it the command's arguments, so
+    a run builds one command parser, not all eight.
+    """
+
+    def __init__(self, **kwargs):
+        self.kwargs = kwargs
+        self.calls = []
+
+    def add_argument(self, *args, **kwargs):
+        self.calls.append((argparse.ArgumentParser.add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs):
+        self.calls.append((argparse.ArgumentParser.set_defaults, (), kwargs))
+
+    def parse_known_args(self, args, namespace):
+        parser = argparse.ArgumentParser(**self.kwargs)
+        for call, a, k in self.calls:
+            call(parser, *a, **k)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perigrowth",
@@ -273,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="family", required=True)
 
     pg = top.add_parser("pg", help="periodic graph commands").add_subparsers(
-        dest="command", required=True
+        dest="command", required=True, parser_class=_CommandParser
     )
     p = pg.add_parser("validate", help="check a .pg file")
     p.add_argument("file")
@@ -301,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_pg_decompose)
 
     vg = top.add_parser("vag", help="virtually abelian group commands").add_subparsers(
-        dest="command", required=True
+        dest="command", required=True, parser_class=_CommandParser
     )
     p = vg.add_parser("cayley", help="emit the Cayley periodic graph as .pg")
     p.add_argument("file")

@@ -176,25 +176,32 @@ def module_degree_bound(g: QuotientGraph, S: SupportSet) -> int:
 
 
 def _module_gens(
-    codec: VertexCodec, group, bound: int, exhaustive: bool
+    codec: VertexCodec, rows, bound: int, exhaustive: bool
 ) -> GradedModuleGens:
-    """The generators (d, vertex) of the packed (key, d) with d <= bound.
+    """The generators of the rows (d, orbit, cells) with d <= bound.
 
-    They are sorted as (degree, orbit, coord) tuples, the order of
-    (degree, PeriodicVertex), and each vertex is built after the sort.
+    A cell gives the generator (d, vertex), or (i, vertex) for every
+    d <= i <= bound when exhaustive.  The cells of all rows are decoded in
+    one call of `VertexCodec.coords`, and the generators are sorted as
+    (degree, orbit, coord) tuples, the order of (degree, PeriodicVertex).
     """
-    gens = []
-    for key, d in group:
+    heads, cells = [], []
+    for d, orbit, row in rows:
         if d <= bound:
-            orbit, coord = key % codec.orbits, codec.coord(key)
-            if exhaustive:
-                gens.extend((i, orbit, coord) for i in range(d, bound + 1))
-            else:
-                gens.append((d, orbit, coord))
-    gens.sort()
-    return GradedModuleGens(
-        bound, tuple((d, PeriodicVertex(orbit, coord)) for d, orbit, coord in gens)
+            heads += [(d, orbit)] * len(row)
+            cells += row
+    gens = sorted(
+        (i, orbit, coord)
+        for (d, orbit), coord in zip(heads, codec.coords(cells))
+        for i in (range(d, bound + 1) if exhaustive else (d,))
     )
+    return GradedModuleGens(bound, tuple((d, PeriodicVertex(o, c)) for d, o, c in gens))
+
+
+def _key_rows(codec: VertexCodec, group):
+    """The packed (key, d) of a Dial search as one-cell rows (d, orbit, cells)."""
+    n = codec.orbits
+    return ((d, key % n, (key // n,)) for key, d in group)
 
 
 def build_XS_generators(
@@ -211,7 +218,7 @@ def build_XS_generators(
     bound = module_degree_bound(g, S)
     codec = vertex_codec(g, x0, bound)
     group = _support_groups(g, codec, DEFAULT_BALL_CAP).get(S, [])
-    return _module_gens(codec, group, bound, False)
+    return _module_gens(codec, _key_rows(codec, group), bound, False)
 
 
 def module_elements_upto(
@@ -326,11 +333,13 @@ def verify_cover(
     and each search is one seeded `ball.first_reach_rows` call
     (`_cover_on_rows`); otherwise they are dicts filled by Dial searches
     (`_cover_on_dial`).  Both give the same report.  Keys are decoded to
-    `PeriodicVertex` only for the module generators, the `missing` and
-    `extra` witnesses and the action witnesses.  `cap` bounds the nodes each
-    search holds, seeds included: the ball's vertices, the support-graded
-    states and the module search's (subset, vertex) states summed over the
-    subsets (not the pairs).  On a sound cover the module of S reaches the
+    `PeriodicVertex` only for the module generators, whose cells are read a
+    row at a time and decoded together by the one decoder
+    `VertexCodec.coords`, and for the `missing` and `extra` witnesses and
+    the action witnesses.  `cap` bounds the nodes each search holds, seeds
+    included: the ball's vertices, the support-graded states and the module
+    search's (subset, vertex) states summed over the subsets (not the
+    pairs).  On a sound cover the module of S reaches the
     ends of the walks of support exactly S, so the module search holds as
     many nodes as the support-graded one and is never the first to reach
     the cap.  The report also carries, per S, the monoid, the module
@@ -368,7 +377,7 @@ def _cover_on_dial(
         mask = sum(1 << i for i in S)
         starts += [(key << n | mask, d) for key, d in group if d <= bound]
         moves[mask] = [(codec.delta(v) << n, gd) for gd, v in monoid.generators if any(v)]
-        gens = _module_gens(codec, group, bound, exhaustive)
+        gens = _module_gens(codec, _key_rows(codec, group), bound, exhaustive)
         blocks.append((S, monoid, gens, _action(codec, group, monoid, radius)))
     module = dial_distances(
         starts, 1 << n, moves.__getitem__, radius, cap=cap, cap_what="module saturation"
@@ -439,8 +448,8 @@ def _cover_on_rows(
         ]
         seeds += part
         moves[mask] = [(codec.delta(v) // n, gd) for gd, v in monoid.generators if any(v)]
-        group = [((s >> n) + n * cell, d) for d, s, bits in part for cell in _cells(bits)]
-        gens = _module_gens(codec, group, bound, exhaustive)
+        rows = [(d, s >> n, list(_cells(bits))) for d, s, bits in part]
+        gens = _module_gens(codec, rows, bound, exhaustive)
         blocks.append((S, monoid, gens, _row_action(codec, exact, monoid)))
     search = first_reach_rows(
         codec, seeds, lambda s: [(s, *m) for m in moves[s & low]],
@@ -493,9 +502,9 @@ def _row_action(codec: VertexCodec, exact, monoid: GradedMonoid) -> ActionReport
 
     The elements of least weight d at which generator (gd, v) fails are
     exact[orbit][d] & ~shift(cumulative[orbit][d + gd], -delta), delta the
-    cell delta of v and cumulative the OR of the rows up to each degree.
-    Orbit leads the vertex order, so the witness comes from the first orbit
-    that fails.
+    cell delta of v and cumulative the OR of the rows up to each degree;
+    only a row with failing elements is read cell by cell.  Orbit leads the
+    vertex order, so the witness comes from the first orbit that fails.
     """
     n, radius = codec.orbits, codec.radius
     cumulative = [list(accumulate(rows, or_)) for rows in exact.values()]
@@ -507,8 +516,8 @@ def _row_action(codec: VertexCodec, exact, monoid: GradedMonoid) -> ActionReport
             keys = [
                 (orbit + n * cell, d)
                 for d in range(radius - gd + 1)
-                if rows[d]
-                for cell in _cells(rows[d] & ~shift(cum[d + gd], -(delta // n)))
+                if rows[d] and (bits := rows[d] & ~shift(cum[d + gd], -(delta // n)))
+                for cell in _cells(bits)
             ]
             if keys:
                 y, d, key = min((codec.decode(key), d, key) for key, d in keys)

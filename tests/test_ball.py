@@ -327,6 +327,37 @@ def test_codec_round_trips_at_the_radius_edge(extra_edges, moves, reach):
     assert len(keys) == 2 * 9
 
 
+@st.composite
+def codec_vertices(draw):
+    """A random codec (a `cover_balls` graph, radius 0-6, extra moves) and
+    vertices anywhere in its layout."""
+    dim, n, edges, base, _ = draw(cover_balls())
+    radius = draw(st.integers(0, 6))
+    moves = draw(
+        st.lists(st.tuples(st.integers(1, 3), st.tuples(*[st.integers(-4, 4)] * dim)))
+    )
+    g = QuotientGraph(
+        dim,
+        tuple(f"o{i}" for i in range(n)),
+        tuple(EdgeOrbit(i, *e) for i, e in enumerate(edges)),
+    )
+    codec = vertex_codec(g, PeriodicVertex(*base), radius, moves)
+    coords = st.tuples(*[st.integers(b - o, b + o) for b, o in zip(base[1], codec.offsets)])
+    vertices = draw(st.lists(st.builds(PeriodicVertex, st.integers(0, n - 1), coords)))
+    return codec, vertices
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(codec_vertices())
+def test_bulk_decoder_round_trips(case):
+    # the cells of encoded vertices decode to their coordinates, in order,
+    # and single-key decode agrees
+    codec, vertices = case
+    keys = [codec.encode(v) for v in vertices]
+    assert codec.coords([k // codec.orbits for k in keys]) == [v.coord for v in vertices]
+    assert [codec.decode(k) for k in keys] == vertices
+
+
 @pytest.mark.parametrize(
     "move",
     [

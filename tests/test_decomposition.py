@@ -138,16 +138,17 @@ def test_verify_cover_honeycomb(honeycomb):
 
 def test_cover_decodes_only_the_module_generators(honeycomb, monkeypatch):
     # every search steps packed keys: no translate, and on a passing cover
-    # one coordinate decoded per returned module generator, on bit rows and
-    # on the Dial alike (every decode runs through `VertexCodec.coord`)
+    # one cell passes through the decoder per returned module generator, on
+    # bit rows and on the Dial alike (every decode runs through
+    # `VertexCodec.coords`)
     decoded = []
-    real = VertexCodec.coord
+    real = VertexCodec.coords
 
-    def counting(codec, key):
-        decoded.append(key)
-        return real(codec, key)
+    def counting(codec, cells):
+        decoded.extend(cells)
+        return real(codec, cells)
 
-    monkeypatch.setattr(VertexCodec, "coord", counting)
+    monkeypatch.setattr(VertexCodec, "coords", counting)
     monkeypatch.setattr(decomposition, "translate", None)
     for rows in (True, False):
         monkeypatch.setattr(decomposition, "rows_fit", lambda *_, rows=rows: rows)
