@@ -5,8 +5,9 @@ bucket queue, CACM 12(11), 1969) on int nodes with additive steps: node v
 takes the steps of class v % classes: the orbit of a packed cover vertex,
 the (orbit, support mask) of a support-graded state, or the subset mask of
 a module state.  It drives every search that needs distances: the ball,
-and the support-graded search and the one module search over (subset,
-vertex) states of the decomposition.  The shell counts of
+and the decomposition's two, the support-graded search, which also gives
+the cover its ball, and the one module search over (subset, vertex)
+states.  The shell counts of
 `ball.growth_sequence` and the whole cover check of
 `decomposition.verify_cover` run on bit rows instead when `ball.rows_fit`
 admits them, each search one seeded `ball.first_reach_rows` call.

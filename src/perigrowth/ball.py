@@ -24,8 +24,9 @@ out-edge deltas, listed when the search first settles a vertex of it.
 Sets that are upward closed in distance can instead be held as bit rows of
 the cells key // orbits, one row per state and distance, where an edge or
 a monoid generator is a shift by its cell delta; every such search is one
-seeded `first_reach_rows` call, and the cover's module saturation is one
-search over (subset, vertex) states for all subsets at once.  `rows_fit`
+seeded `first_reach_rows` call.  The cover makes two: the support-graded
+search, which also gives it the ball, and one module saturation over
+(subset, vertex) states for all subsets at once.  `rows_fit`
 decides which is used, from the layout and the cap alone: `growth_sequence`
 counts shells on rows, and `decomposition.verify_cover` checks the cover on
 them, when it holds, and both fall back to the Dial otherwise.  Every other

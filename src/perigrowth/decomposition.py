@@ -22,16 +22,14 @@ from ._dial import dial_distances
 from .ball import (
     DEFAULT_BALL_CAP,
     VertexCodec,
-    ball_rows,
     first_reach_rows,
-    packed_distances,
     rows_fit,
     shift,
     vertex_codec,
 )
 from .errors import GuardError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, translate
-from .walks import DEFAULT_CYCLE_CAP, cycle_data, enumerate_cycles
+from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
 
 SupportSet = frozenset[int]
 
@@ -103,7 +101,7 @@ def _monoid(rank: int, S: SupportSet, cycles) -> GradedMonoid:
 def build_MS(g: QuotientGraph, S: SupportSet) -> GradedMonoid:
     """Monoid generated by cycles supported inside S, plus the degree step;
     the cycles are enumerated under `walks.DEFAULT_CYCLE_CAP`."""
-    return _monoid(g.dim, S, cycle_data(g, enumerate_cycles(g, cap=DEFAULT_CYCLE_CAP)))
+    return _monoid(g.dim, S, enumerate_cycles(g, cap=DEFAULT_CYCLE_CAP))
 
 
 def support_distances(
@@ -321,11 +319,13 @@ def verify_cover(
     sorted `missing` and `extra` witnesses, the `MAX_WITNESSES` least pairs
     of each, are rebuilt from the maps.
 
-    Cycles are enumerated once, and three searches run at the radius: the
-    ball, the support-graded search and one module search over (subset,
-    vertex) states, seeded with every subset's module generators at their
-    degrees, where a state of S steps by the moving generators of the
-    monoid of S.  Every map is kept on the packed keys of one
+    Cycles are enumerated once, and two searches run at the radius: the
+    support-graded search and one module search over (subset, vertex)
+    states, seeded with every subset's module generators at their degrees,
+    where a state of S steps by the moving generators of the monoid of S.
+    Every walk has some exact support, so d(x0, y) is the least over the
+    support masks of the support-graded distances at y, and the target is
+    read off that search.  Every map is kept on the packed keys of one
     `ball.VertexCodec`, sized by the edges and every monoid generator, so
     all of them stay exact.  When `ball.rows_fit` admits 2^n + 4 row sets
     (the target, the union, the 2^n support masks, and one subset's
@@ -337,12 +337,13 @@ def verify_cover(
     row at a time and decoded together by the one decoder
     `VertexCodec.coords`, and for the `missing` and `extra` witnesses and
     the action witnesses.  `cap` bounds the nodes each search holds, seeds
-    included: the ball's vertices, the support-graded states and the module
-    search's (subset, vertex) states summed over the subsets (not the
-    pairs).  On a sound cover the module of S reaches the
-    ends of the walks of support exactly S, so the module search holds as
-    many nodes as the support-graded one and is never the first to reach
-    the cap.  The report also carries, per S, the monoid, the module
+    included: the support-graded states and the module search's (subset,
+    vertex) states summed over the subsets (not the pairs).  The
+    support-graded search holds at least one state per ball vertex, so a
+    ball past the cap stops it.  On a sound cover the module of S reaches
+    the ends of the walks of support exactly S, so the module search holds
+    as many nodes as the support-graded one and is never the first to
+    reach the cap.  The report also carries, per S, the monoid, the module
     generators (as `build_MS` and `build_XS_generators` give them, with the
     degree bound cut to the radius) and the `verify_module_action` report.
     """
@@ -350,7 +351,7 @@ def verify_cover(
         raise GuardError(
             f"{g.num_orbits} orbits exceed the subset guard of {orbit_guard}"
         )
-    cycles = cycle_data(g, enumerate_cycles(g, cap=cycle_cap))
+    cycles = enumerate_cycles(g, cap=cycle_cap)
     monoids = {S: _monoid(g.dim, S, cycles) for S in all_support_sets(g)}
     moves = {gen for monoid in monoids.values() for gen in monoid.generators}
     codec = vertex_codec(g, x0, radius, moves)
@@ -361,15 +362,19 @@ def verify_cover(
 def _cover_on_dial(
     g: QuotientGraph, codec: VertexCodec, monoids, exhaustive: bool, cap: int
 ) -> CoverReport:
-    """`verify_cover` by least-degree dicts: the ball, the support-graded
-    search and one module search over the nodes key << n | mask, each of
-    class mask.  A module generator (key, d) of S starts at degree d, and
-    class mask steps by (delta << n, gd) for each generator (gd, v) of the
-    monoid of S with v nonzero, delta the packed delta of v; zero vectors,
-    the degree step among them, never lower a least degree."""
+    """`verify_cover` by least-degree dicts: the support-graded search, whose
+    least distance per key over the support masks is the target, and one
+    module search over the nodes key << n | mask, each of class mask.  A
+    module generator (key, d) of S starts at degree d, and class mask
+    steps by (delta << n, gd) for each generator (gd, v) of the monoid of S
+    with v nonzero, delta the packed delta of v; zero vectors, the degree
+    step among them, never lower a least degree."""
     n, radius = codec.orbits, codec.radius
-    target = packed_distances(g, codec, cap=cap)
     groups = _support_groups(g, codec, cap)
+    target: dict[int, int] = {}
+    for key, d in itertools.chain.from_iterable(groups.values()):
+        if target.get(key, d + 1) > d:
+            target[key] = d
     starts, moves, blocks = [], {}, []
     for S, monoid in monoids.items():
         group = groups.get(S, [])
@@ -405,21 +410,18 @@ def _cover_on_rows(
 ) -> CoverReport:
     """`verify_cover` on bit rows over the cells key // orbits.
 
-    Each search is one `ball.first_reach_rows` call: the target from
-    `ball.ball_rows`; the exact-support rows F_S of every support mask from
-    one search over the states orbit << n | mask; and one module search
-    over the same states, seeded with every F_S up to the degree bound of
-    S, each moving generator (gd, v) of the monoid of the mask a same-state
-    shift by the cell delta of v at weight gd, its rows read as they arrive
-    and not stored.  The target and the union of the modules are compared
-    as cumulative rows, row d the cells of least degree <= d.  Cap errors
-    keep the Dial texts and order: ball, support-graded states, modules.
+    Each search is one `ball.first_reach_rows` call: the exact-support rows
+    F_S of every support mask from one search over the states orbit << n |
+    mask, whose rows ORed per orbit over the masks are the target's; and
+    one module search over the same states, seeded with every F_S up to
+    the degree bound of S, each moving generator (gd, v) of the monoid of
+    the mask a same-state shift by the cell delta of v at weight gd, its
+    rows read as they arrive and not stored.  The target and the union of
+    the modules are compared as cumulative rows, row d the cells of least
+    degree <= d, and `covered` counts their bits.  Cap errors keep the Dial
+    texts and order: support-graded states, then modules.
     """
     n, radius = codec.orbits, codec.radius
-    zero = [0] * (radius + 1)
-    covered, target = _exact_rows(ball_rows(g, codec, cap), radius)
-    target = [list(accumulate(target.get(orbit, zero), or_)) for orbit in range(n)]
-
     low = (1 << n) - 1
 
     def steps(state: int):  # state = orbit << n | support mask
@@ -432,8 +434,11 @@ def _cover_on_rows(
     start = (0, base << n | 1 << base, 1 << codec.encode(codec.base) // n)
     search = first_reach_rows(codec, [start], steps, cap=cap, cap_what="support-graded ball")
     first: dict[int, dict[int, list[int]]] = {}  # mask -> {orbit: F_S rows}
-    for state, rows in sorted(_exact_rows(search, radius)[1].items()):  # by orbit first
+    target = [[0] * (radius + 1) for _ in range(n)]  # exact rows per orbit
+    for state, rows in sorted(_exact_rows(search, radius).items()):  # by orbit first
         first.setdefault(state & low, {})[state >> n] = rows
+        target[state >> n] = list(map(or_, target[state >> n], rows))
+    target = [list(accumulate(rows, or_)) for rows in target]
 
     seeds, moves, blocks = [], {}, []
     for S, monoid in monoids.items():
@@ -466,7 +471,7 @@ def _cover_on_rows(
     return CoverReport(
         ok=ok,
         radius=radius,
-        covered=covered,
+        covered=sum(bits.bit_count() for rows in target for bits in rows),
         missing=() if ok else _row_witnesses(codec, target, union),
         extra=() if ok else _row_witnesses(codec, union, target),
         module_sizes=dict(zip(monoids, pairs.values())),
@@ -474,18 +479,16 @@ def _cover_on_rows(
     )
 
 
-def _exact_rows(search, radius: int) -> tuple[int, dict[int, list[int]]]:
-    """The pairs (i, cell) with d <= i <= radius of a `first_reach_rows` search,
-    counted, and its exact rows: rows[state][d], the cells first reached at d."""
-    pairs = 0
+def _exact_rows(search, radius: int) -> dict[int, list[int]]:
+    """The exact rows of a `first_reach_rows` search: rows[state][d], the
+    cells first reached at d."""
     rows: dict[int, list[int]] = {}
-    for d, (size, fresh) in enumerate(search):
-        pairs += size * (radius - d + 1)
+    for d, (_, fresh) in enumerate(search):
         for state, bits in fresh.items():
             if state not in rows:  # allocate once per state, not per distance
                 rows[state] = [0] * (radius + 1)
             rows[state][d] = bits
-    return pairs, rows
+    return rows
 
 
 def _cells(bits: int) -> Iterator[int]:

@@ -23,7 +23,6 @@ from .errors import FormatError, InputError, NoFitError, PerigrowthError
 from .periodic_graph import QuotientGraph
 from .walks import (
     DEFAULT_CYCLE_CAP,
-    cycle_data,
     enumerate_cycles,
     strongly_connected,
     velocity_polytope,
@@ -193,9 +192,9 @@ def _ansatzes(g: QuotientGraph, cycle_cap: int):
     """(`default_denominator`, `cycle_product`) of g from one cycle
     enumeration; the one cached entry lets `pg series` read both rungs of
     its ladder from one pass.  The results are tuples, so sharing them is safe."""
-    data = cycle_data(g, enumerate_cycles(g, cap=cycle_cap))
-    product = merge_factors([(1, 1)] + [(w, 1) for _, w, _ in data])
-    facets = velocity_polytope(g.dim, data) if strongly_connected(g) else []
+    cycles = enumerate_cycles(g, cap=cycle_cap)
+    product = merge_factors([(1, 1)] + [(w, 1) for _, w, _ in cycles])
+    facets = velocity_polytope(g.dim, cycles) if strongly_connected(g) else []
     if not facets:
         return product, product
     exponents: dict[int, int] = {}

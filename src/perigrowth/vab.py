@@ -25,7 +25,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .periodic_graph import EdgeOrbit, PeriodicVertex, QuotientGraph, Vector, _tokenize
-from .walks import DEFAULT_CYCLE_CAP, cycle_data, enumerate_cycles
+from .walks import DEFAULT_CYCLE_CAP, enumerate_cycles
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -446,7 +446,7 @@ def default_set_denominator(
     dm.check_radius(coupling_radius(graph, mmset))
     d = mmset.arity
     vectors: set[tuple[int, ...]] = set()
-    weights = {w for _, w, _ in cycle_data(graph, enumerate_cycles(graph, cap=cycle_cap))}
+    weights = {w for _, w, _ in enumerate_cycles(graph, cap=cycle_cap)}
     for i in range(d):
         vectors.add(tuple(1 if j == i else 0 for j in range(d)))
         vectors.update(tuple(w if j == i else 0 for j in range(d)) for w in weights)

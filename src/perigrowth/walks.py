@@ -1,15 +1,15 @@
 """Walk combinatorics on the quotient graph.
 
-Cycles here are closed walks whose visited vertices are pairwise distinct;
-rotations of the same cycle are collapsed to the lexicographically least
-edge-id rotation, which is safe because every quantity derived from a
-cycle (weight, visited orbits, net lattice displacement) is rotation
-invariant.
+Cycles here are closed walks whose visited vertices are pairwise distinct.
+Every quantity the program derives from a cycle (its support, weight and
+lattice displacement) is rotation invariant, so each cycle is found once,
+at its least orbit, and kept only as that record.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .errors import ResourceLimitError
 from .periodic_graph import QuotientGraph, Vector
@@ -17,57 +17,36 @@ from .periodic_graph import QuotientGraph, Vector
 DEFAULT_CYCLE_CAP = 1_000_000
 
 
-def _canonical_rotation(edges: tuple[int, ...]) -> tuple[int, ...]:
-    rotations = [edges[i:] + edges[:i] for i in range(len(edges))]
-    return min(rotations)
-
-
 def enumerate_cycles(
     g: QuotientGraph, *, cap: int = DEFAULT_CYCLE_CAP
-) -> list[tuple[int, ...]]:
-    """All simple directed cycles of the quotient, deduplicated and sorted.
+) -> list[tuple[frozenset[int], int, Vector]]:
+    """(support, weight, displacement) of every simple directed cycle.
 
-    Each cycle is its edge ids in their least rotation, and the list is
-    sorted by (length, edges).  Depth-first search rooted at each orbit in turn, visiting only orbits
+    Depth-first search rooted at each orbit in turn, visiting only orbits
     of larger index, so every cycle is discovered exactly once at its
-    minimal orbit.  Loops and parallel edges give distinct cycles.
+    minimal orbit.  The record is built when the search closes the cycle:
+    the support is the set of orbits the path visited, and the weight and
+    the displacement of any lift are sums over the path's edges.  Loops
+    and parallel edges give distinct cycles.  The list is in discovery
+    order, which no reader depends on.
     """
-    found: set[tuple[int, ...]] = set()
-    n = g.num_orbits
-    for start in range(n):
-        # stack entries: (current orbit, path of edge ids, visited orbit set)
-        stack = [(start, (), frozenset((start,)))]
+    out = [[(e.dst, e.weight, e.shift) for e in g.out_edges(o)] for o in range(g.num_orbits)]
+    cycles: list[tuple[frozenset[int], int, Vector]] = []
+    for start in range(g.num_orbits):
+        # stack entries: (current orbit, path weight, path displacement, visited orbit set)
+        stack = [(start, 0, (0,) * g.dim, frozenset((start,)))]
         while stack:
-            orbit, path, visited = stack.pop()
-            for eo in g.out_edges(orbit):
-                if eo.dst == start:
-                    found.add(_canonical_rotation(path + (eo.id,)))
-                    if len(found) > cap:
+            orbit, weight, disp, visited = stack.pop()
+            for dst, w, vec in out[orbit]:
+                if dst == start:
+                    cycles.append((visited, weight + w, tuple(map(add, disp, vec))))
+                    if len(cycles) > cap:
                         raise ResourceLimitError(
                             f"more than {cap} cycles; raise the cycle cap"
                         )
-                elif eo.dst > start and eo.dst not in visited:
-                    stack.append((eo.dst, path + (eo.id,), visited | {eo.dst}))
-    return sorted(found, key=lambda c: (len(c), c))
-
-
-def cycle_data(g: QuotientGraph, cycles) -> list[tuple[frozenset[int], int, Vector]]:
-    """(support, weight, displacement) of each of the given cycles.
-
-    A closed walk visits each of its orbits as the source of an edge, and
-    any lift of it moves by the sum of its edge shifts.
-    """
-    src = [e.src for e in g.edges].__getitem__
-    weight = [e.weight for e in g.edges].__getitem__
-    shift = [e.shift for e in g.edges].__getitem__
-    return [
-        (
-            frozenset(map(src, c)),
-            sum(map(weight, c)),
-            tuple(map(sum, zip(*map(shift, c)))),
-        )
-        for c in cycles
-    ]
+                elif dst > start and dst not in visited:
+                    stack.append((dst, weight + w, tuple(map(add, disp, vec)), visited | {dst}))
+    return cycles
 
 
 def strongly_connected(g: QuotientGraph) -> bool:
@@ -101,11 +80,11 @@ def _hull(points: list) -> list:
     return chains[0] + chains[1]
 
 
-def velocity_polytope(dim: int, data) -> list[dict[tuple[int, ...], frozenset[int]]]:
+def velocity_polytope(dim: int, cycles) -> list[dict[tuple[int, ...], frozenset[int]]]:
     """The facets of the velocity polytope P = conv{disp(c)/w(c)} over the
-    cycles c of `cycle_data`, each mapping every cycle velocity v on it, its
-    vertices and the points between them, to W(v), the distinct weights of
-    the cycles whose velocity is exactly v.
+    cycle records c of `enumerate_cycles`, each mapping every cycle velocity
+    v on it, its vertices and the points between them, to W(v), the
+    distinct weights of the cycles whose velocity is exactly v.
 
     Velocities are scaled by the least common multiple of the cycle
     weights, so each is an integer point of a dilate of P and every
@@ -113,9 +92,9 @@ def velocity_polytope(dim: int, data) -> list[dict[tuple[int, ...], frozenset[in
     in dimension 2 they are the hull edges, found with cross products.
     Empty when P is not full-dimensional, and in every other dimension.
     """
-    common = math.lcm(*{w for _, w, _ in data})
+    common = math.lcm(*{w for _, w, _ in cycles})
     weights: dict[tuple[int, ...], set[int]] = {}
-    for _, w, disp in data:
+    for _, w, disp in cycles:
         weights.setdefault(tuple(x * (common // w) for x in disp), set()).add(w)
     points = sorted(weights)
     if dim == 1 and len(points) >= 2:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from perigrowth.cli import main
 from perigrowth.decomposition import CoverReport
 
 from oracles import honeycomb_patch_growth
@@ -113,3 +114,19 @@ def test_child_terms_needed_certifies_every_fit_series(tmp_path, monkeypatch):
             spec = {"mode": "terms_needed", "pg": pg, "terms": terms,
                     "margin": workloads.MARGIN}
             assert run_child(work, spec)["terms_needed"] is not None, (seed, job.name)
+
+
+def test_fit_and_decompose_jobs_pass_the_benchmark_check(tmp_path, monkeypatch, capsys):
+    # `run.py` checks every job's stdout with its own oracle, and a parse
+    # error other than ValueError or IndexError there stops the whole run;
+    # the seed-5 jobs, run in process, must pass that check as they are
+    monkeypatch.chdir(ROOT)  # job paths under the bundled data are relative
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    for name in ("fit", "decompose"):
+        for job in workloads.build(name, 5, str(tmp_path / name)).jobs:
+            code = main(list(job.argv))
+            captured = capsys.readouterr()
+            status, _, reason = run.check(job, run.expect(job), code, captured.out, captured.err)
+            assert status == "ok", (name, job.name, reason)
