@@ -219,10 +219,11 @@ def cmd_vag_relative(args) -> int:
     group, gens = _load_vag(args.file)
     mmset = vab.parse_set(_read(args.set), group)
     box = _parse_box(args.upto, mmset.arity)
-    # one ball serves the set enumeration (and so the counts) and the coupling grades
+    # one ball of radius max(box) serves the set enumeration (and so the
+    # counts) and the coupling grades; a coupling factor graded past it
+    # could not act in the fit (see `vab.default_set_denominator`)
     graph, base = vab.build_cayley(group, gens)
-    radius = max(max(box), vab.coupling_radius(graph, mmset))
-    dm = ball.distances_upto(graph, base, radius, cap=args.max_ball)
+    dm = ball.distances_upto(graph, base, max(box), cap=args.max_ball)
     members = vab.enumerate_monoid_module_set(dm, mmset, box, cap=args.max_ball)
     table = vab.relative_growth_terms(members, box)
     factors = vab.default_set_denominator(graph, dm, mmset, cycle_cap=args.max_cycles)

@@ -61,7 +61,6 @@ class GradedMonoid:
 class GradedModuleGens:
     """Generators (degree, vertex) of the S-supported reachability module."""
 
-    degree_bound: int
     generators: tuple[tuple[int, PeriodicVertex], ...]
 
 
@@ -193,7 +192,7 @@ def _module_gens(
         for (d, orbit), coord in zip(heads, codec.coords(cells))
         for i in (range(d, bound + 1) if exhaustive else (d,))
     )
-    return GradedModuleGens(bound, tuple((d, PeriodicVertex(o, c)) for d, o, c in gens))
+    return GradedModuleGens(tuple((d, PeriodicVertex(o, c)) for d, o, c in gens))
 
 
 def _key_rows(codec: VertexCodec, group):

@@ -417,18 +417,6 @@ def univariate_terms(table: RelativeCountTable, through: int) -> list[int]:
     return terms
 
 
-def coupling_radius(graph: QuotientGraph, mmset: MonoidModuleSet) -> int:
-    """The least ball radius `default_set_denominator` accepts.
-
-    It is the largest |u|_1 over the translations u of the piece
-    generators, times the largest generator weight.
-    """
-    return max(
-        (sum(abs(c) for c in u) for p in mmset.pieces for g in p.ugens for u in g),
-        default=0,
-    ) * graph.max_weight()
-
-
 def default_set_denominator(
     graph: QuotientGraph,
     dm: DistanceMap,
@@ -441,9 +429,18 @@ def default_set_denominator(
     Per axis: (1 - z_i) and one (1 - z_i^w) per distinct cycle weight of
     the Cayley quotient `graph`; plus one coupling factor (1 - z^w) per
     piece generator, graded by the word weight of each coordinate's
-    translation in the ball `dm`, whose radius must reach `coupling_radius`.
+    translation in the ball `dm`.  A generator with a translation outside
+    the ball adds no factor.
+
+    A ball of radius max(box) loses no factor that can act.
+    `fit_multivariate` multiplies by (1 - z^w) only at the box points
+    a >= w (`series._box_pass`), so a factor with w_i > box_i on some
+    axis, at any exponent, changes neither the numerator nor the margin
+    check.  Every translation of weight <= max(box) lies in the ball, so a
+    generator is dropped only when some w_i > max(box) >= box_i.  Its
+    univariate image (1 - t^s) has s >= w_i > min(box), past the
+    univariate window as well.
     """
-    dm.check_radius(coupling_radius(graph, mmset))
     d = mmset.arity
     vectors: set[tuple[int, ...]] = set()
     weights = {w for _, w, _ in enumerate_cycles(graph, cap=cycle_cap)}

@@ -9,7 +9,7 @@ from perigrowth.series import expand_mv_series, series_from_text
 
 from conftest import data_path, data_text
 from oracles import word_weights
-from test_series import ONE_WAY_SINK
+from test_series import ONE_WAY_SINK, PLANE_ROUND_TRIP
 
 # expected stdout bytes (<name>.out) and exit codes (exit_codes.json); only an
 # intended change of the output format may rewrite them
@@ -412,6 +412,20 @@ def test_series_certifies_a_dense_quotient(capsys, tmp_path):
     assert out.splitlines()[2:] == ["num 0 1", "num 1 5", "num 2 4", "den 1 ^1", "verified 60"]
 
 
+def test_series_certifies_a_plane_round_trip_on_the_cycle_product(capsys, tmp_path):
+    # the velocity ansatz (1 - t)^4 misses the period 2 of this quotient
+    # (test_series.PLANE_ROUND_TRIP), and neither it nor its square certifies;
+    # only the cycle-product rung does
+    path = tmp_path / "round_trip.pg"
+    path.write_text(PLANE_ROUND_TRIP)
+    code, out, err = run_cli(capsys, "pg", "series", str(path), "--upto", "40", "--canonical")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        "num 0 1", "num 1 3", "num 2 7", "num 3 15", "num 4 13", "num 5 8", "num 6 1",
+        "den 1 ^1", "den 2 ^1", "verified 40",
+    ]
+
+
 # v0 reaches v4 along routes of different weights; not strongly connected
 MERGING_ROUTES = """dim 2
 vertex v0
@@ -474,21 +488,65 @@ def test_cap_of_one_holds_the_base(capsys):
     assert (code, out.splitlines()[1]) == (0, "1")
 
 
-def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch):
-    calls = []
+def test_vag_relative_builds_one_graph_and_one_ball(capsys, monkeypatch, tmp_path):
+    calls, radii = [], []
+    search = ball.distances_upto
+
+    def distances_upto(graph, base, radius, **kwargs):
+        radii.append(radius)
+        return search(graph, base, radius, **kwargs)
+
     monkeypatch.setattr(
         vab, "build_cayley", counting(calls, "build_cayley", vab.build_cayley)
     )
-    monkeypatch.setattr(
-        ball, "distances_upto", counting(calls, "distances_upto", ball.distances_upto)
-    )
+    monkeypatch.setattr(ball, "distances_upto", distances_upto)
     code, _, _ = run_cli(
         capsys,
         "vag", "relative", data_path("dinf.vag"), data_path("invol.set"),
         "--upto", "10", "--margin", "5",
     )
     assert code == 0
-    assert sorted(calls) == ["build_cayley", "distances_upto"]
+    assert (calls, radii) == (["build_cayley"], [10])
+    # the ugen's translation weighs 5, past the box 3, where its coupling
+    # factor (1 - z^5) cannot act: the ball stops at the box, and no factor
+    # of weight 5 is printed
+    path = tmp_path / "u5.set"
+    path.write_text("arity 1\npiece\nugen 5\nshift (0;0)\n")
+    code, out, err = run_cli(
+        capsys,
+        "vag", "relative", data_path("dinf.vag"), str(path), "--upto", "3", "--margin", "0",
+    )
+    assert (code, err) == (0, "")
+    assert radii == [10, 3]
+    assert "den 5 ^1" not in out.splitlines()
+    assert out.splitlines()[-1] == "crosscheck PASS"
+
+
+# wallpaper group p4: Z^2 by the rotation group of order 4
+P4_VAG = """\
+rank 2
+finite 4
+mult 0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2
+action f=1 0 -1 1 0
+action f=2 -1 0 0 -1
+action f=3 0 1 -1 0
+gen a 1 0 0 1
+gen ai -1 0 0 1
+gen r 0 0 1 1
+gen ri 0 0 3 1
+"""
+
+
+def test_vag_relative_takes_a_period_from_the_cycle_factors(capsys, tmp_path):
+    # the piece's series is z^2 (1 + z^2) / (1 - z^2)^2; both ugens grade to
+    # 4, so without the per-axis cycle factor (1 - z^2) the ansatz would be
+    # (1 - z)(1 - z^4), and neither it nor its square certifies at 12
+    group, piece = tmp_path / "p4.vag", tmp_path / "p4.set"
+    group.write_text(P4_VAG)
+    piece.write_text("arity 1\npiece\nugen -1 1\nugen -1 -1\nshift (0,-2;0)\n")
+    code, out, err = run_cli(capsys, "vag", "relative", str(group), str(piece), "--upto", "12")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "crosscheck PASS"
 
 
 def test_vag_relative_grades_coupling_by_ball_weight(capsys, tmp_path):

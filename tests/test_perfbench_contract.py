@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from perigrowth.cli import main
 from perigrowth.decomposition import CoverReport
 
@@ -116,17 +118,18 @@ def test_child_terms_needed_certifies_every_fit_series(tmp_path, monkeypatch):
             assert run_child(work, spec)["terms_needed"] is not None, (seed, job.name)
 
 
-def test_fit_and_decompose_jobs_pass_the_benchmark_check(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("seed", [5, 13])
+def test_fit_and_decompose_jobs_pass_the_benchmark_check(tmp_path, monkeypatch, capsys, seed):
     # `run.py` checks every job's stdout with its own oracle, and a parse
     # error other than ValueError or IndexError there stops the whole run;
-    # the seed-5 jobs, run in process, must pass that check as they are
+    # the jobs of each seed, run in process, must pass that check as they are
     monkeypatch.chdir(ROOT)  # job paths under the bundled data are relative
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     run = importlib.import_module("run")
     for name in ("fit", "decompose"):
-        for job in workloads.build(name, 5, str(tmp_path / name)).jobs:
+        for job in workloads.build(name, seed, str(tmp_path / name)).jobs:
             code = main(list(job.argv))
             captured = capsys.readouterr()
             status, _, reason = run.check(job, run.expect(job), code, captured.out, captured.err)
-            assert status == "ok", (name, job.name, reason)
+            assert status == "ok", (seed, name, job.name, reason)
