@@ -18,19 +18,20 @@ where stride_0 is the number of orbits and stride_{i+1} = stride_i *
 (g, vec) of degree g >= 1, each edge orbit counted as the move (weight,
 shift).  An edge orbit or a move is then a precomputed integer delta (dst -
 src plus its shift dotted with the strides), and following it is one
-integer addition.  Since stride_0 is the number of orbits, key % orbits is
-the orbit, so the Dial kernel takes one step class per orbit: that orbit's
-out-edge deltas, listed when the search first settles a vertex of it.
-Sets that are upward closed in distance can instead be held as bit rows of
-the cells key // orbits, one row per state and distance, where an edge or
-a monoid generator is a shift by its cell delta; every such search is one
-seeded `first_reach_rows` call.  The cover makes two: the support-graded
-search, which also gives it the ball, and one module saturation over
-(subset, vertex) states for all subsets at once.  `rows_fit`
-decides which is used, from the layout and the cap alone: `growth_sequence`
-counts shells on rows, and `decomposition.verify_cover` checks the cover on
-them, when it holds, and both fall back to the Dial otherwise.  Every other
-search that needs distances runs on the Dial.
+integer addition.  Each search writes its steps once, as steps(state) ->
+[(t, c, w)]: into state t, c cells (key // orbits) over, at weight w; the
+ball's states are the orbits and its steps their out-edges (`_edge_steps`).
+Either kernel reads them.  The Dial searches the keys, cell * orbits +
+orbit.  Sets that are upward closed in distance can instead be held as bit
+rows of the cells, one row per state and distance, where a step is a shift
+by its cell delta; every such search is one seeded `first_reach_rows` call.
+The cover makes two: the support-graded search, which also gives it the
+ball, and one module saturation over (subset, vertex) states for all
+subsets at once.  `rows_fit` decides which kernel is used, from the layout
+and the cap alone: `growth_sequence` counts shells on rows, and
+`decomposition.verify_cover` checks the cover on them, when it holds, and
+both fall back to the Dial otherwise.  Every other search that needs
+distances runs on the Dial.
 
 No-carry invariant: every vertex a search reaches is the end of edges and
 moves of total degree at most R, each shifting axis i by at most its degree
@@ -45,12 +46,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from math import prod
 from operator import le, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from ._dial import dial_distances
+from ._dial import Steps, dial_distances, listed_steps
 from .errors import CoverageError, InputError, ResourceLimitError
 from .periodic_graph import PeriodicVertex, QuotientGraph, Vector, validate
 from .series import MultivariateRationalSeries, expand_mv_series
@@ -172,16 +173,17 @@ def packed_distances(
     g: QuotientGraph, codec: VertexCodec, *, cap: int = DEFAULT_BALL_CAP
 ) -> dict[int, int]:
     """Dial search over packed keys: key -> distance <= codec.radius."""
+    start, steps = codec.encode(codec.base), partial(_edge_steps, g, codec)
     return dial_distances(
-        [(codec.encode(codec.base), 0)],
-        codec.orbits,
-        lambda orbit: [
-            (e.dst - e.src + codec.delta(e.shift), e.weight) for e in g.out_edges(orbit)
-        ],
-        codec.radius,
-        cap=cap,
-        cap_what="ball size",
+        [(start, 0)], codec.orbits, steps, codec.radius, cap=cap, cap_what="ball size"
     )
+
+
+def _edge_steps(g: QuotientGraph, codec: VertexCodec, orbit: int) -> list:
+    """The ball's steps from an orbit: its out-edges (dst, cell delta, weight)."""
+    return [
+        (e.dst, codec.delta(e.shift) // codec.orbits, e.weight) for e in g.out_edges(orbit)
+    ]
 
 
 def distances_upto(
@@ -245,7 +247,7 @@ def rows_fit(codec: VertexCodec, row_sets: int, cap: int) -> bool:
 def first_reach_rows(
     codec: VertexCodec,
     starts: Iterable[tuple[int, int, int]],
-    steps: Callable[[int], list[tuple[int, int, int]]],
+    steps: Steps,
     *,
     cap: int,
     cap_what: str,
@@ -254,20 +256,21 @@ def first_reach_rows(
 
     A state is an int with one row per pending distance, bit k set when
     cell k (key // orbits) is reached in it there.  Each start (d0, state,
-    bits) seeds those cells at distance d0; as in `dial_distances`, starts
-    beyond the radius are dropped and a cell seeded twice keeps its least
-    distance.  State s steps into state t at weight w >= 1, shifting its row
-    by the cell delta c, for each (t, c, w) in steps(s), asked for once per
-    state; by the no-carry invariant no shift crosses a digit or falls off
-    bit 0.  Yields (count, {state: bits}) per distance, the cells new to
-    their state.  Raises ValueError for a negative start distance and
+    bits) seeds those cells at distance d0; as on the Dial, starts beyond
+    the radius are dropped and a cell seeded twice keeps its least
+    distance.  State s steps into state t at weight w, shifting its row by
+    the cell delta c, for each (t, c, w) in steps(s), the steps
+    `dial_distances` takes, listed once per state; by the no-carry
+    invariant no shift crosses a digit or falls off bit 0.  Yields (count,
+    {state: bits}) per distance, the cells new to their state.  Raises
+    ValueError for a negative start distance or a step weight below 1, and
     ResourceLimitError once more than `cap` (cell, state) pairs, seeds
     included, are reached.
     """
     radius = codec.radius
     full = (1 << prod(codec.spans)) - 1
     unseen: dict[int, int] = {}
-    steps = cache(steps)
+    steps = cache(partial(listed_steps, steps))
     pending: list = [{} for _ in range(radius + 1)]
     for d0, state, bits in starts:
         if d0 < 0:
@@ -301,24 +304,12 @@ def shift(bits: int, cells: int) -> int:
     return bits << cells if cells >= 0 else bits >> -cells
 
 
-def ball_rows(
-    g: QuotientGraph, codec: VertexCodec, cap: int
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """`first_reach_rows` of the ball: one state per orbit, the shells per distance."""
-
-    def steps(orbit: int):
-        return [
-            (e.dst, codec.delta(e.shift) // codec.orbits, e.weight)
-            for e in g.out_edges(orbit)
-        ]
-
-    start = (0, codec.base.orbit, 1 << codec.encode(codec.base) // codec.orbits)
-    return first_reach_rows(codec, [start], steps, cap=cap, cap_what="ball size")
-
-
 def _shell_counts(g: QuotientGraph, codec: VertexCodec, cap: int) -> list[int]:
     """Shell sizes 0..codec.radius, counted on bit rows."""
-    return [size for size, _ in ball_rows(g, codec, cap)]
+    start = (0, codec.base.orbit, 1 << codec.encode(codec.base) // codec.orbits)
+    steps = partial(_edge_steps, g, codec)
+    search = first_reach_rows(codec, [start], steps, cap=cap, cap_what="ball size")
+    return [size for size, _ in search]
 
 
 def graded_growth_slice(

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate
 from operator import or_
 from typing import Iterator
 
-from ._dial import dial_distances
+from ._dial import Steps, dial_distances
 from .ball import (
     DEFAULT_BALL_CAP,
     VertexCodec,
@@ -108,33 +109,47 @@ def support_distances(
 ) -> dict[int, int]:
     """Minimal walk weight <= codec.radius to each (endpoint, exact support).
 
-    A state is one int, key << n | mask: the endpoint's packed key and the
-    bitmask of the n quotient orbits the walk visits.  The length-0 walk at
-    the base has support {orbit of the base}, so that state sits at
-    distance 0.  Every edge weighs at least 1, as the kernel requires.
+    A node is one int, key << n | mask: the endpoint's packed key and the
+    bitmask of the n quotient orbits the walk visits, the `_support_steps`
+    state orbit << n | mask at its cell.  The length-0 walk at the base has
+    support {orbit of the base}, so that node sits at distance 0.  Every
+    edge weighs at least 1, as both kernels require.
     """
     n = codec.orbits
-    steps = [
-        [(codec.delta(e.shift) + e.dst - e.src << n, 1 << e.dst, e.weight) for e in out]
-        for out in map(g.out_edges, range(n))
-    ]
-
-    # state % (n << n) is orbit << n | mask: an edge into orbit b adds its
-    # packed delta << n, plus bit b when the mask lacks it.  The kernel
-    # lists a class only when it settles a state of it
-    def steps_at(c: int):
-        seen = c & (1 << n) - 1
-        return [(d + (~seen & bit), w) for d, bit, w in steps[c >> n]]
-
     start = codec.encode(codec.base) << n | 1 << codec.base.orbit
     return dial_distances(
         [(start, 0)],
         n << n,
-        steps_at,
+        partial(_support_steps, g, codec),
         codec.radius,
         cap=cap,
         cap_what="support-graded ball",
     )
+
+
+def _support_steps(g: QuotientGraph, codec: VertexCodec, state: int) -> list:
+    """The support-graded steps from state orbit << n | mask: each out-edge of
+    the orbit, into its dst with dst added to the mask, at the edge's weight."""
+    n = codec.orbits
+    mask = state & (1 << n) - 1
+    return [
+        (e.dst << n | mask | 1 << e.dst, codec.delta(e.shift) // n, e.weight)
+        for e in g.out_edges(state >> n)
+    ]
+
+
+def _module_steps(codec: VertexCodec, monoids) -> Steps:
+    """The module steps: state orbit << n | mask moves by the cell delta of v
+    at weight gd for each generator (gd, v), v nonzero, of the mask's monoid;
+    zero vectors, the degree step among them, never lower a least degree."""
+    n = codec.orbits
+
+    @cache
+    def moves(mask: int) -> list[tuple[int, int]]:
+        monoid = monoids[frozenset(i for i in range(n) if mask >> i & 1)]
+        return [(codec.delta(v) // n, gd) for gd, v in monoid.generators if any(v)]
+
+    return lambda state: [(state, c, gd) for c, gd in moves(state & (1 << n) - 1)]
 
 
 def _support_groups(
@@ -363,31 +378,30 @@ def _cover_on_dial(
 ) -> CoverReport:
     """`verify_cover` by least-degree dicts: the support-graded search, whose
     least distance per key over the support masks is the target, and one
-    module search over the nodes key << n | mask, each of class mask.  A
-    module generator (key, d) of S starts at degree d, and class mask
-    steps by (delta << n, gd) for each generator (gd, v) of the monoid of S
-    with v nonzero, delta the packed delta of v; zero vectors, the degree
-    step among them, never lower a least degree."""
+    module search over the nodes key << n | mask.  That node is cell *
+    (n << n) plus the `_module_steps` state orbit << n | mask, so the Dial
+    lists the steps of up to n << n states, one per (orbit, mask) it
+    reaches.  A module generator (key, d) of S starts at degree d."""
     n, radius = codec.orbits, codec.radius
     groups = _support_groups(g, codec, cap)
     target: dict[int, int] = {}
     for key, d in itertools.chain.from_iterable(groups.values()):
         if target.get(key, d + 1) > d:
             target[key] = d
-    starts, moves, blocks = [], {}, []
+    starts, pairs, blocks = [], {}, []
     for S, monoid in monoids.items():
         group = groups.get(S, [])
         bound = min(module_degree_bound(g, S), radius)
         mask = sum(1 << i for i in S)
         starts += [(key << n | mask, d) for key, d in group if d <= bound]
-        moves[mask] = [(codec.delta(v) << n, gd) for gd, v in monoid.generators if any(v)]
+        pairs[mask] = 0  # module pairs per mask, in the order of monoids
         gens = _module_gens(codec, _key_rows(codec, group), bound, exhaustive)
         blocks.append((S, monoid, gens, _action(codec, group, monoid, radius)))
+    steps = _module_steps(codec, monoids)
     module = dial_distances(
-        starts, 1 << n, moves.__getitem__, radius, cap=cap, cap_what="module saturation"
+        starts, n << n, steps, radius, cap=cap, cap_what="module saturation"
     )
     union: dict[int, int] = {}
-    pairs = dict.fromkeys(moves, 0)  # per mask, in the order of monoids
     for node, d in module.items():
         pairs[node & (1 << n) - 1] += radius - d + 1
         if union.get(node >> n, d + 1) > d:
@@ -409,28 +423,21 @@ def _cover_on_rows(
 ) -> CoverReport:
     """`verify_cover` on bit rows over the cells key // orbits.
 
-    Each search is one `ball.first_reach_rows` call: the exact-support rows
-    F_S of every support mask from one search over the states orbit << n |
-    mask, whose rows ORed per orbit over the masks are the target's; and
-    one module search over the same states, seeded with every F_S up to
-    the degree bound of S, each moving generator (gd, v) of the monoid of
-    the mask a same-state shift by the cell delta of v at weight gd, its
-    rows read as they arrive and not stored.  The target and the union of
-    the modules are compared as cumulative rows, row d the cells of least
-    degree <= d, and `covered` counts their bits.  Cap errors keep the Dial
+    Each search is one `ball.first_reach_rows` call over the steps the Dial
+    takes: the exact-support rows F_S of every support mask from one
+    search over the `_support_steps` states orbit << n | mask, whose rows
+    ORed per orbit over the masks are the target's; and one module search
+    by `_module_steps`, seeded with every F_S up to the degree bound of S,
+    its rows read as they arrive and not stored.  The target and the union
+    of the modules are compared as cumulative rows, row d the cells of
+    least degree <= d, and `covered` counts their bits.  Cap errors keep the Dial
     texts and order: support-graded states, then modules.
     """
     n, radius = codec.orbits, codec.radius
     low = (1 << n) - 1
-
-    def steps(state: int):  # state = orbit << n | support mask
-        return [
-            (e.dst << n | state & low | 1 << e.dst, codec.delta(e.shift) // n, e.weight)
-            for e in g.out_edges(state >> n)
-        ]
-
     base = codec.base.orbit
     start = (0, base << n | 1 << base, 1 << codec.encode(codec.base) // n)
+    steps = partial(_support_steps, g, codec)
     search = first_reach_rows(codec, [start], steps, cap=cap, cap_what="support-graded ball")
     first: dict[int, dict[int, list[int]]] = {}  # mask -> {orbit: F_S rows}
     target = [[0] * (radius + 1) for _ in range(n)]  # exact rows per orbit
@@ -439,7 +446,7 @@ def _cover_on_rows(
         target[state >> n] = list(map(or_, target[state >> n], rows))
     target = [list(accumulate(rows, or_)) for rows in target]
 
-    seeds, moves, blocks = [], {}, []
+    seeds, pairs, blocks = [], {}, []
     for S, monoid in monoids.items():
         mask = sum(1 << i for i in S)
         exact = first.get(mask, {})
@@ -451,16 +458,13 @@ def _cover_on_rows(
             if bits
         ]
         seeds += part
-        moves[mask] = [(codec.delta(v) // n, gd) for gd, v in monoid.generators if any(v)]
+        pairs[mask] = 0  # module pairs per mask, in the order of monoids
         rows = [(d, s >> n, list(_cells(bits))) for d, s, bits in part]
         gens = _module_gens(codec, rows, bound, exhaustive)
         blocks.append((S, monoid, gens, _row_action(codec, exact, monoid)))
-    search = first_reach_rows(
-        codec, seeds, lambda s: [(s, *m) for m in moves[s & low]],
-        cap=cap, cap_what="module saturation",
-    )
+    steps = _module_steps(codec, monoids)
+    search = first_reach_rows(codec, seeds, steps, cap=cap, cap_what="module saturation")
     union = [[0] * (radius + 1) for _ in range(n)]  # exact rows per orbit
-    pairs = dict.fromkeys(moves, 0)  # per mask, in the order of monoids
     for d, (_, fresh) in enumerate(search):
         for state, bits in fresh.items():
             pairs[state & low] += bits.bit_count() * (radius - d + 1)

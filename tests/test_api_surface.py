@@ -11,6 +11,9 @@ recorder wraps.  Code reached only by its own unit tests is dead weight.
 """
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 from test_perfbench_contract import load_spans
@@ -186,3 +189,72 @@ def test_every_cli_flag_is_read():
     assert unread_allowed <= dests.keys()
     unread = sorted(flag for dest, flag in dests.items() if dest not in read | unread_allowed)
     assert not unread, f"never read: {unread}"
+
+
+# backticked names the docs take from outside the package: argparse's, and
+# the `.eqn` generator syntax
+FOREIGN = {"parser_class", "ArgumentParser", "X1"}
+
+
+def doc_texts():
+    """The docstrings and comments of the package modules, and the README
+    outside its fenced code blocks."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                yield ast.get_docstring(node) or ""
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.COMMENT:
+                yield token.string
+    yield re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def defined(node) -> set[str]:
+    """The names a module- or class-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    targets = getattr(node, "targets", [getattr(node, "target", None)])
+    return {n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_docs_name_only_live_code():
+    # a backticked identifier (dotted, with an underscore, or capitalized)
+    # must name a package module, a module-level name, a class attribute or
+    # field, or a parameter; a dotted one is resolved part by part through
+    # the modules and classes it names
+    spaces = {}  # module stem or class name -> the names it binds
+    bare = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spaces[path.stem] = set().union(*map(defined, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                spaces[node.name] = set().union(*map(defined, node.body))
+            elif isinstance(node, ast.arguments):
+                params = node.posonlyargs + node.args + node.kwonlyargs
+                bare |= {a.arg for a in params + [node.vararg, node.kwarg] if a}
+    bare |= set(spaces).union(*spaces.values())
+
+    def resolves(name: str) -> bool:
+        head, *rest = name.removeprefix("perigrowth.").split(".")
+        if not rest:
+            return head in bare
+        space = spaces.get(head)
+        for part in rest:
+            if space is None or part not in space:
+                return False
+            space = spaces.get(part)
+        return True
+
+    ident = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+    names = {
+        name
+        for text in doc_texts()
+        for name in re.findall(r"`([^`\n]+)`", text)
+        if ident.fullmatch(name) and ("." in name or "_" in name or name[0].isupper())
+    }
+    stale = sorted(name for name in names - FOREIGN if not resolves(name))
+    assert not stale, f"no such code: {stale}"

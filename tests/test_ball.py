@@ -246,8 +246,8 @@ def seeded_row_searches(draw):
     (2, [[(1, (1, 0), 1)], [(0, (0, 1), 2)]], 4, 4, [(0, 0, 0, 0), (3, 0, 0, 0), (3, 1, 1, 0)])
 )
 def test_seeded_rows_match_multi_start_dial(case):
-    # first_reach_rows and dial_distances over the same packed keys
-    # state + n * cell, cell = (x + reach) + span * (y + reach)
+    # first_reach_rows and dial_distances, given the same steps, over the
+    # same packed keys state + n * cell, cell = (x + reach) + span * (y + reach)
     n, table, radius, reach, seeds = case
     span = 2 * reach + 1
     codec = ball.VertexCodec(
@@ -270,7 +270,7 @@ def test_seeded_rows_match_multi_start_dial(case):
     expected = dial_distances(
         [(state + n * cell(x, y), d0) for d0, state, x, y in seeds],
         n,
-        lambda c: [(t - c + n * delta, w) for t, delta, w in row_steps(c)],
+        row_steps,
         radius,
         cap=10**6,
         cap_what="test search",

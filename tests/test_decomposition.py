@@ -1,11 +1,12 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigrowth import decomposition
-from perigrowth.ball import VertexCodec, vertex_codec
+from perigrowth.ball import VertexCodec, first_reach_rows, vertex_codec
 from perigrowth.decomposition import (
     MAX_WITNESSES,
     GradedMonoid,
@@ -499,15 +500,34 @@ def support_searches(draw):
 @example((ring(12), V(3, (0,)), 1))
 @example((ring(12), V(3, (0,)), 2))
 def test_support_distances_match_reference(case):
-    # each packed state key << n | mask decodes to (endpoint, exact support)
+    # each packed node key << n | mask decodes to (endpoint, exact support)
     g, x0, radius = case
     codec = vertex_codec(g, x0, radius)
     n = g.num_orbits
+
+    def support(mask):
+        return frozenset(i for i in range(n) if mask >> i & 1)
+
+    expected = support_state_distances(g, x0, radius)
     got = {
-        (codec.decode(state >> n), frozenset(i for i in range(n) if state >> i & 1)): d
-        for state, d in support_distances(g, codec).items()
+        (codec.decode(node >> n), support(node)): d
+        for node, d in support_distances(g, codec).items()
     }
-    assert got == support_state_distances(g, x0, radius)
+    assert got == expected
+    # the rows kernel over the same steps from the same start: each
+    # (state orbit << n | mask, cell) is first reached at its distance
+    start = (0, x0.orbit << n | 1 << x0.orbit, 1 << codec.encode(x0) // n)
+    steps = partial(decomposition._support_steps, g, codec)
+    search = first_reach_rows(codec, [start], steps, cap=10**6, cap_what="rows")
+    reached = [
+        ((codec.decode(cell * n + (state >> n)), support(state)), d)
+        for d, (_, fresh) in enumerate(search)
+        for state, bits in fresh.items()
+        for cell in range(bits.bit_length())
+        if bits >> cell & 1
+    ]
+    assert len(reached) == len(expected)
+    assert dict(reached) == expected
 
 
 def test_search_caps_count_every_node_held(honeycomb, monkeypatch):
