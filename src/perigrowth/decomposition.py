@@ -333,8 +333,8 @@ def verify_cover(
     sorted `missing` and `extra` witnesses, the `MAX_WITNESSES` least pairs
     of each, are rebuilt from the maps.
 
-    Cycles are enumerated once, and two searches run at the radius: the
-    support-graded search and one module search over (subset, vertex)
+    Monoids read distinct cycle records, and two searches run at the radius:
+    the support-graded search and one module search over (subset, vertex)
     states, seeded with every subset's module generators at their degrees,
     where a state of S steps by the moving generators of the monoid of S.
     Every walk has some exact support, so d(x0, y) is the least over the

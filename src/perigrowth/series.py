@@ -190,10 +190,10 @@ def cycle_product(
 @lru_cache(maxsize=1)
 def _ansatzes(g: QuotientGraph, cycle_cap: int):
     """(`default_denominator`, `cycle_product`) of g from one cycle
-    enumeration; the one cached entry lets `pg series` read both rungs of
-    its ladder from one pass.  The results are tuples, so sharing them is safe."""
+    enumeration, whose one cached entry serves both rungs of `pg series`;
+    the product reads the cycle counts.  Tuples, so sharing them is safe."""
     cycles = enumerate_cycles(g, cap=cycle_cap)
-    product = merge_factors([(1, 1)] + [(w, 1) for _, w, _ in cycles])
+    product = merge_factors([(1, 1)] + [(w, n) for (_, w, _), n in cycles.items()])
     facets = velocity_polytope(g.dim, cycles) if strongly_connected(g) else []
     if not facets:
         return product, product

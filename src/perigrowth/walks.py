@@ -2,8 +2,8 @@
 
 Cycles here are closed walks whose visited vertices are pairwise distinct.
 Every quantity the program derives from a cycle (its support, weight and
-lattice displacement) is rotation invariant, so each cycle is found once,
-at its least orbit, and kept only as that record.
+lattice displacement) is rotation invariant, so each cycle is counted once,
+at its least orbit, in the count of that record.
 """
 
 from __future__ import annotations
@@ -19,34 +19,37 @@ DEFAULT_CYCLE_CAP = 1_000_000
 
 def enumerate_cycles(
     g: QuotientGraph, *, cap: int = DEFAULT_CYCLE_CAP
-) -> list[tuple[frozenset[int], int, Vector]]:
-    """(support, weight, displacement) of every simple directed cycle.
+) -> dict[tuple[frozenset[int], int, Vector], int]:
+    """Each distinct (support, weight, displacement) of the simple directed
+    cycles, mapped to its number of cycles (loops and parallel edges count).
 
-    Depth-first search rooted at each orbit in turn, visiting only orbits
-    of larger index, so every cycle is discovered exactly once at its
-    minimal orbit.  The record is built when the search closes the cycle:
-    the support is the set of orbits the path visited, and the weight and
-    the displacement of any lift are sums over the path's edges.  Loops
-    and parallel edges give distinct cycles.  The list is in discovery
-    order, which no reader depends on.
+    A DP grows the paths from each least orbit s over the orbits above s,
+    one edge per round, in states (visited, end) that map (weight,
+    displacement) to a number of paths; an edge back to s closes them into
+    counted records.  Paths that share (visited, end) extend by the same
+    edges, so merging them loses no cycle, and each state and label stands
+    for at least one path, so the DP does no more work than walking every
+    path.  The counts sum to the cycle count; the cap bounds it each round.
     """
-    out = [[(e.dst, e.weight, e.shift) for e in g.out_edges(o)] for o in range(g.num_orbits)]
-    cycles: list[tuple[frozenset[int], int, Vector]] = []
+    records: dict = {}
     for start in range(g.num_orbits):
-        # stack entries: (current orbit, path weight, path displacement, visited orbit set)
-        stack = [(start, 0, (0,) * g.dim, frozenset((start,)))]
-        while stack:
-            orbit, weight, disp, visited = stack.pop()
-            for dst, w, vec in out[orbit]:
-                if dst == start:
-                    cycles.append((visited, weight + w, tuple(map(add, disp, vec))))
-                    if len(cycles) > cap:
-                        raise ResourceLimitError(
-                            f"more than {cap} cycles; raise the cycle cap"
-                        )
-                elif dst > start and dst not in visited:
-                    stack.append((dst, weight + w, tuple(map(add, disp, vec)), visited | {dst}))
-    return cycles
+        layer = {(frozenset((start,)), start): {(0, (0,) * g.dim): 1}}
+        while layer:
+            current, layer = layer, {}
+            for (visited, orbit), paths in current.items():
+                for e in g.out_edges(orbit):
+                    if e.dst == start:
+                        into, head = records, (visited,)
+                    elif e.dst > start and e.dst not in visited:
+                        into, head = layer.setdefault((visited | {e.dst}, e.dst), {}), ()
+                    else:
+                        continue
+                    for (weight, disp), n in paths.items():
+                        key = (*head, weight + e.weight, tuple(map(add, disp, e.shift)))
+                        into[key] = into.get(key, 0) + n
+            if sum(records.values()) > cap:
+                raise ResourceLimitError(f"more than {cap} cycles; raise the cycle cap")
+    return records
 
 
 def strongly_connected(g: QuotientGraph) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -410,6 +411,36 @@ def test_series_certifies_a_dense_quotient(capsys, tmp_path):
     code, out, err = run_cli(capsys, "pg", "series", str(path), "--upto", "60", "--canonical")
     assert (code, err) == (0, "")
     assert out.splitlines()[2:] == ["num 0 1", "num 1 5", "num 2 4", "den 1 ^1", "verified 60"]
+
+
+def test_dense_quotient_output_is_pinned(capsys, tmp_path):
+    # 125,666 simple cycles in 504 distinct records: the cover's bytes and
+    # the series are pinned whole, so no change to the cycle layer moves them
+    path = tmp_path / "dense9.pg"
+    path.write_text(dense_line(9))
+    code, out, err = run_cli(capsys, "pg", "decompose", str(path), "--upto", "12")
+    assert (code, err) == (0, "")
+    assert (len(out.splitlines()), len(out.encode())) == (2050, 275418)
+    assert hashlib.sha1(out.encode()).hexdigest() == "6ae38a102106425c4816379ab1d35cad07542cb0"
+    assert out.endswith("cover PASS (1321 pairs at radius 12)\n")
+    code, out, err = run_cli(capsys, "pg", "series", str(path), "--upto", "60", "--canonical")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["num 0 1", "num 1 9", "num 2 8", "den 1 ^1", "verified 60"]
+
+
+def test_cycle_cap_holds_on_a_dense_quotient(capsys, tmp_path):
+    # the cap counts the 2,367 simple cycles, not their 122 distinct records
+    path = tmp_path / "dense7.pg"
+    path.write_text(dense_line(7))
+    code, out, err = run_cli(
+        capsys, "--max-cycles", "2366", "pg", "decompose", str(path), "--upto", "4"
+    )
+    assert (code, out, err) == (2, "", "error: more than 2366 cycles; raise the cycle cap\n")
+    code, out, err = run_cli(
+        capsys, "--max-cycles", "2367", "pg", "decompose", str(path), "--upto", "4"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "cover PASS (121 pairs at radius 4)"
 
 
 def test_series_certifies_a_plane_round_trip_on_the_cycle_product(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -12,6 +13,7 @@ from perigrowth.walks import enumerate_cycles
 
 from conftest import SEED
 from oracles import brute_force_cycles, lift_endpoint
+from test_cli import dense_line
 
 # three orbits with parallel edges and a loop, for permutation-heavy cases
 TRIANGLE_TEXT = """
@@ -51,13 +53,29 @@ def test_cycles_honeycomb(honeycomb):
 
 def test_cycle_weights_keep_one_entry_per_cycle(triangle):
     # the two parallel a -> b edges give two cycles of each weight 2 and 3
-    assert sorted(w for _, w, _ in enumerate_cycles(triangle)) == [1, 2, 2, 3, 3]
+    weights = Counter()
+    for (_, w, _), count in enumerate_cycles(triangle).items():
+        weights[w] += count
+    assert weights == {1: 1, 2: 2, 3: 2}
     assert cycle_product(triangle) == ((1, 2), (2, 2), (3, 2))
 
 
 def test_cycles_empty_graph():
     g = parse_periodic_graph("dim 1\nvertex v\n")
-    assert enumerate_cycles(g) == []
+    assert enumerate_cycles(g) == {}
+
+
+@pytest.mark.parametrize(
+    "n, records",
+    [(5, 28), (6, 59), (7, 122), (8, 249), (9, 504), (10, 1015)],
+)
+def test_cycles_count_a_dense_quotient(n, records):
+    # past the brute force's reach: the k-cycles through k of the n orbits,
+    # (k - 1)! per k-subset, plus the two loops at the first orbit
+    cycles = enumerate_cycles(parse_periodic_graph(dense_line(n)), cap=10**7)
+    assert len(cycles) == records
+    expected = sum(math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1)) + 2
+    assert sum(cycles.values()) == expected
 
 
 def test_cycle_data_matches_lifts(square, honeycomb, z_pm, triangle):
@@ -126,10 +144,11 @@ def oracle_records(g) -> Counter:
 @given(quotients())
 def test_cycles_match_brute_force(g):
     cycles = enumerate_cycles(g)
-    assert Counter(cycles) == oracle_records(g)
-    # the cap counts the cycles: it admits exactly as many as there are
-    count = len(cycles)
-    assert len(enumerate_cycles(g, cap=count)) == count
+    assert cycles == oracle_records(g)
+    # the cap counts the cycles, not the records: it admits exactly as many
+    # as there are
+    count = sum(cycles.values())
+    assert enumerate_cycles(g, cap=count) == cycles
     if count:
         with pytest.raises(
             ResourceLimitError, match=rf"^more than {count - 1} cycles; raise the cycle cap$"
